@@ -42,14 +42,26 @@ func pct(s string) float64 {
 	return f
 }
 
-func runExperiment(b *testing.B, id string, report func(*testing.B, *harness.Result)) {
+// benchSession is the one run cache every per-figure benchmark shares:
+// iteration 1 of a benchmark simulates whatever its plan adds to the
+// cache, later iterations (and later benchmarks with overlapping plans)
+// resolve from it.
+var benchSession = harness.NewSession(harness.SessionOptions{})
+
+// runExperiment regenerates experiment id over apps (nil = benchApps) on
+// benchSession, reporting the last iteration's result.
+func runExperiment(b *testing.B, id string, apps []string, report func(*testing.B, *harness.Result)) {
 	b.Helper()
 	exp, err := harness.ByID(id)
 	if err != nil {
 		b.Fatal(err)
 	}
+	cfg := benchConfig()
+	if apps != nil {
+		cfg.Apps = apps
+	}
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Run(benchConfig())
+		res, err := benchSession.Run(context.Background(), exp, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +74,7 @@ func runExperiment(b *testing.B, id string, report func(*testing.B, *harness.Res
 // BenchmarkTable3 regenerates the per-application baseline (execution time
 // and disk energy under the Default Scheme).
 func BenchmarkTable3(b *testing.B) {
-	runExperiment(b, "table3", func(b *testing.B, res *harness.Result) {
+	runExperiment(b, "table3", nil, func(b *testing.B, res *harness.Result) {
 		for _, row := range res.Rows {
 			if v, err := strconv.ParseFloat(row[3], 64); err == nil {
 				b.ReportMetric(v, row[0]+"_J")
@@ -74,7 +86,7 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkFig12a regenerates the idle-period CDF without the scheme and
 // reports the fraction of gaps at most 100 ms (paper average: 86.4%).
 func BenchmarkFig12a(b *testing.B) {
-	runExperiment(b, "fig12a", func(b *testing.B, res *harness.Result) {
+	runExperiment(b, "fig12a", nil, func(b *testing.B, res *harness.Result) {
 		for _, row := range res.Rows {
 			if row[0] == "100" {
 				b.ReportMetric(pct(row[1]), "pct_le100ms_"+res.Headers[1])
@@ -86,7 +98,7 @@ func BenchmarkFig12a(b *testing.B) {
 // BenchmarkFig12b regenerates the idle-period CDF with the scheme (the CDF
 // must shift right relative to Fig. 12(a)).
 func BenchmarkFig12b(b *testing.B) {
-	runExperiment(b, "fig12b", func(b *testing.B, res *harness.Result) {
+	runExperiment(b, "fig12b", nil, func(b *testing.B, res *harness.Result) {
 		for _, row := range res.Rows {
 			if row[0] == "100" {
 				b.ReportMetric(pct(row[1]), "pct_le100ms_"+res.Headers[1])
@@ -99,7 +111,7 @@ func BenchmarkFig12b(b *testing.B) {
 // scheme (paper averages: simple 95.3%, prediction 93.7%, history 84.4%,
 // staggered 90.2%).
 func BenchmarkFig12c(b *testing.B) {
-	runExperiment(b, "fig12c", func(b *testing.B, res *harness.Result) {
+	runExperiment(b, "fig12c", nil, func(b *testing.B, res *harness.Result) {
 		for _, row := range res.Rows {
 			for ci := 1; ci < len(row); ci++ {
 				b.ReportMetric(pct(row[ci]), row[0]+"_"+res.Headers[ci])
@@ -111,7 +123,7 @@ func BenchmarkFig12c(b *testing.B) {
 // BenchmarkFig12d regenerates normalized energy per policy with the scheme
 // (savings should roughly double Fig. 12(c)'s).
 func BenchmarkFig12d(b *testing.B) {
-	runExperiment(b, "fig12d", func(b *testing.B, res *harness.Result) {
+	runExperiment(b, "fig12d", nil, func(b *testing.B, res *harness.Result) {
 		for _, row := range res.Rows {
 			for ci := 1; ci < len(row); ci++ {
 				b.ReportMetric(pct(row[ci]), row[0]+"_"+res.Headers[ci])
@@ -121,89 +133,33 @@ func BenchmarkFig12d(b *testing.B) {
 }
 
 // BenchmarkFig13a regenerates performance degradation without the scheme.
-func BenchmarkFig13a(b *testing.B) { runExperiment(b, "fig13a", nil) }
+func BenchmarkFig13a(b *testing.B) { runExperiment(b, "fig13a", nil, nil) }
 
 // BenchmarkFig13b regenerates performance degradation with the scheme.
-func BenchmarkFig13b(b *testing.B) { runExperiment(b, "fig13b", nil) }
+func BenchmarkFig13b(b *testing.B) { runExperiment(b, "fig13b", nil, nil) }
 
 // BenchmarkFig13c regenerates the I/O-node-count sweep.
-func BenchmarkFig13c(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Apps = []string{"sar"}
-	exp, _ := harness.ByID("fig13c")
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig13c(b *testing.B) { runExperiment(b, "fig13c", []string{"sar"}, nil) }
 
 // BenchmarkFig13d regenerates the δ sweep (interior maximum around δ=20).
-func BenchmarkFig13d(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Apps = []string{"sar"}
-	exp, _ := harness.ByID("fig13d")
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig13d(b *testing.B) { runExperiment(b, "fig13d", []string{"sar"}, nil) }
 
 // BenchmarkFig14a regenerates the θ energy sweep (savings grow with θ).
-func BenchmarkFig14a(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Apps = []string{"sar"}
-	exp, _ := harness.ByID("fig14a")
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig14a(b *testing.B) { runExperiment(b, "fig14a", []string{"sar"}, nil) }
 
 // BenchmarkFig14b regenerates the θ performance sweep.
-func BenchmarkFig14b(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Apps = []string{"sar"}
-	exp, _ := harness.ByID("fig14b")
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig14b(b *testing.B) { runExperiment(b, "fig14b", []string{"sar"}, nil) }
 
 // BenchmarkCacheSens regenerates the §V-D storage-cache sensitivity.
-func BenchmarkCacheSens(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Apps = []string{"sar"}
-	exp, _ := harness.ByID("cachesens")
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkCacheSens(b *testing.B) { runExperiment(b, "cachesens", []string{"sar"}, nil) }
 
 // BenchmarkCompileTime measures the scheduling pass itself (the paper
 // reports ~1.4 s worst case on Phoenix).
-func BenchmarkCompileTime(b *testing.B) {
-	runExperiment(b, "compile", nil)
-}
+func BenchmarkCompileTime(b *testing.B) { runExperiment(b, "compile", nil, nil) }
 
 // BenchmarkAblations runs the scheduler design ablations (ordering, σ
 // weights, vertical reuse range).
-func BenchmarkAblations(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Apps = []string{"sar"}
-	exp, _ := harness.ByID("ablations")
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkAblations(b *testing.B) { runExperiment(b, "ablations", []string{"sar"}, nil) }
 
 // sessionBenchIDs is the sddstables-equivalent batch the worker-scaling
 // benchmarks regenerate: the four policy figures, 18 distinct cluster

@@ -30,19 +30,23 @@ func faultyTiny() Config {
 	return c
 }
 
-// TestWorkerPanicIsolated asserts the crash-safe pool: a spec whose config
-// mutation panics fails only its own run with a stack-carrying error;
-// sibling runs on the same Prime call complete normally and land in the
-// cache.
+// TestWorkerPanicIsolated asserts the crash-safe pool: a run whose
+// simulation panics fails only itself with a stack-carrying error; sibling
+// runs on the same session complete normally and land in the cache.
 func TestWorkerPanicIsolated(t *testing.T) {
 	s := NewSession(SessionOptions{Workers: 4})
 	c := tiny().withDefaults()
 
-	good := defaultSpec("sar", power.KindDefault, false)
-	boom := variantSpec("sar", power.KindDefault, false, "boom",
-		func(*cluster.Config) { panic("injected test panic") })
+	good := c.request("sar", power.KindDefault, false, "")
+	boom := c.request("sar", power.KindDefault, false, "theta=8")
+	s.simulate = func(ctx context.Context, req Request) (*cluster.Result, error) {
+		if req == boom {
+			panic("injected test panic")
+		}
+		return s.simulateShared(ctx, req)
+	}
 
-	_, _, err := s.run(context.Background(), c, boom)
+	_, _, err := s.run(context.Background(), boom)
 	if err == nil {
 		t.Fatal("panicking run returned no error")
 	}
@@ -54,13 +58,13 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	}
 
 	// Siblings (and the session itself) survive.
-	res, _, err := s.run(context.Background(), c, good)
+	res, _, err := s.run(context.Background(), good)
 	if err != nil || res == nil {
 		t.Fatalf("sibling run after panic: %v", err)
 	}
 	// The panic verdict is cached like any failure: a waiter sees it
 	// without re-simulating.
-	_, out, err := s.run(context.Background(), c, boom)
+	_, out, err := s.run(context.Background(), boom)
 	if err == nil || !out.hit {
 		t.Fatalf("cached panic verdict: hit=%v err=%v", out.hit, err)
 	}
@@ -72,13 +76,13 @@ func TestWorkerPanicIsolated(t *testing.T) {
 // intact.
 func TestRunTimeoutDeadlineExceeded(t *testing.T) {
 	s := NewSession(SessionOptions{Workers: 1, RunTimeout: time.Nanosecond})
-	c := tiny().withDefaults()
-	_, _, err := s.run(context.Background(), c, defaultSpec("sar", power.KindDefault, false))
+	req := tiny().withDefaults().request("sar", power.KindDefault, false, "")
+	_, _, err := s.run(context.Background(), req)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	// The deadline verdict is a property of the configuration: cached.
-	_, out, err2 := s.run(context.Background(), c, defaultSpec("sar", power.KindDefault, false))
+	_, out, err2 := s.run(context.Background(), req)
 	if !errors.Is(err2, context.DeadlineExceeded) || !out.hit {
 		t.Fatalf("cached deadline verdict: hit=%v err=%v", out.hit, err2)
 	}
@@ -89,7 +93,7 @@ func TestRunTimeoutDeadlineExceeded(t *testing.T) {
 
 	// A generous deadline lets the same run complete.
 	ok := NewSession(SessionOptions{Workers: 1, RunTimeout: time.Minute})
-	if _, _, err := ok.run(context.Background(), c, defaultSpec("sar", power.KindDefault, false)); err != nil {
+	if _, _, err := ok.run(context.Background(), req); err != nil {
 		t.Fatalf("run under generous deadline: %v", err)
 	}
 }
@@ -118,14 +122,13 @@ func TestInjectedSweepWorkerCountInvariant(t *testing.T) {
 // alias in the session cache.
 func TestFaultConfigPartOfCacheKey(t *testing.T) {
 	s := NewSession(SessionOptions{Workers: 1})
-	sp := defaultSpec("sar", power.KindDefault, false)
-	plain := tiny().withDefaults()
-	faulty := faultyTiny().withDefaults()
-	a, _, err := s.run(context.Background(), plain, sp)
+	plain := tiny().withDefaults().request("sar", power.KindDefault, false, "")
+	faulty := faultyTiny().withDefaults().request("sar", power.KindDefault, false, "")
+	a, _, err := s.run(context.Background(), plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := s.run(context.Background(), faulty, sp)
+	b, _, err := s.run(context.Background(), faulty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,16 +219,16 @@ func TestJournalResumeCompletesOnlyMissingRuns(t *testing.T) {
 // line on resume.
 func TestJournalToleratesTornTrailingLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.journal")
-	cfg := tiny()
+	cfg := tiny().withDefaults()
 	j1, err := OpenJournal(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s1 := NewSession(SessionOptions{Workers: 1, Journal: j1})
-	if _, _, err := s1.run(context.Background(), cfg.withDefaults(), defaultSpec("sar", power.KindDefault, false)); err != nil {
+	if _, _, err := s1.run(context.Background(), cfg.request("sar", power.KindDefault, false, "")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s1.run(context.Background(), cfg.withDefaults(), defaultSpec("madbench2", power.KindDefault, false)); err != nil {
+	if _, _, err := s1.run(context.Background(), cfg.request("madbench2", power.KindDefault, false, "")); err != nil {
 		t.Fatal(err)
 	}
 	if err := j1.Close(); err != nil {
@@ -254,7 +257,7 @@ func TestJournalToleratesTornTrailingLine(t *testing.T) {
 	// Appending after resume keeps the file line-aligned: the torn bytes
 	// were truncated away.
 	s2 := NewSession(SessionOptions{Workers: 1, Journal: j2})
-	if _, _, err := s2.run(context.Background(), cfg.withDefaults(), defaultSpec("madbench2", power.KindDefault, false)); err != nil {
+	if _, _, err := s2.run(context.Background(), cfg.request("madbench2", power.KindDefault, false, "")); err != nil {
 		t.Fatal(err)
 	}
 	if err := j2.Close(); err != nil {
@@ -292,14 +295,12 @@ func TestJournalMissingFileResumes(t *testing.T) {
 // restored from its journal form carries the same measurements, idle
 // histogram, metrics, and fault block.
 func TestJournalRoundTripPreservesResult(t *testing.T) {
-	c := faultyTiny().withDefaults()
-	sp := defaultSpec("sar", power.KindDefault, true)
+	key := faultyTiny().withDefaults().request("sar", power.KindDefault, true, "")
 	s := NewSession(SessionOptions{Workers: 1})
-	res, _, err := s.run(context.Background(), c, sp)
+	res, _, err := s.run(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := sp.key(c)
 	rec := NewRunRecord(res)
 	buf, err := json.Marshal(storedRun{Request: key, Result: rec})
 	if err != nil {

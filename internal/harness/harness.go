@@ -10,9 +10,9 @@
 // of distinct cluster configurations an experiment batch needs (its run
 // plan), fans the simulations out over a bounded worker pool, and caches
 // every result so overlapping experiments never simulate the same
-// configuration twice. Experiment.Run and the exported per-experiment
-// functions (Table3, Fig12a, ...) are thin wrappers over a process-wide
-// DefaultSession.
+// configuration twice. Every run is named by one canonical Request: the
+// plans, the session cache, the journal, the service and the shard fleet
+// all key on it.
 package harness
 
 import (
@@ -47,6 +47,26 @@ type Config struct {
 // DefaultConfig runs everything at full scale.
 func DefaultConfig() Config { return Config{Scale: 1.0, Seed: 1} }
 
+// request names one planned run under the config: the Table II cluster
+// deviated by the variant tag (canonicalized here, so a sweep point that
+// restates a default shares the unmodified-config run). The config must
+// already carry its defaults. A tag outside the variant grammar is kept
+// as given and fails when the run is built.
+func (c Config) request(app string, kind power.Kind, scheduling bool, variant string) Request {
+	if canon, err := canonVariant(variant); err == nil {
+		variant = canon
+	}
+	return Request{
+		App:        app,
+		Policy:     kind.String(),
+		Scheduling: scheduling,
+		Scale:      c.Scale,
+		Seed:       c.Seed,
+		Variant:    variant,
+		Faults:     c.Faults.Canon(),
+	}
+}
+
 func (c Config) withDefaults() Config {
 	if c.Scale <= 0 {
 		c.Scale = 1.0
@@ -64,8 +84,8 @@ func (c Config) withDefaults() Config {
 // names, with suggestions), or nil. The zero value is valid (defaults
 // apply).
 func (c Config) Validate() error {
-	if c.Scale < 0 {
-		return fmt.Errorf("harness: scale %v must be positive", c.Scale)
+	if err := checkScale(c.Scale); err != nil {
+		return err
 	}
 	for _, app := range c.Apps {
 		if _, err := workloads.ByName(app); err != nil {
@@ -111,27 +131,14 @@ func (r *Result) Render() string {
 }
 
 // Experiment is a runnable paper artifact. Its run function renders the
-// result from a Session's cache; its plan function enumerates the cluster
-// configurations the run needs, letting the session execute them in
-// parallel before rendering.
+// result from a Session's cache; its plan function enumerates the
+// canonical Requests the run needs, letting the session execute them in
+// parallel before rendering. Run experiments with Session.Run or RunAll.
 type Experiment struct {
 	ID    string
 	Title string
 	run   func(ctx context.Context, s *Session, c Config) (*Result, error)
-	plan  func(c Config) []runSpec
-}
-
-// Run executes the experiment on the process-wide default session.
-// It is a compatibility wrapper around RunContext.
-func (e Experiment) Run(c Config) (*Result, error) {
-	return e.RunContext(context.Background(), c)
-}
-
-// RunContext executes the experiment on the process-wide default session,
-// honouring cancellation. For an isolated cache or a custom worker bound
-// use Session.Run instead.
-func (e Experiment) RunContext(ctx context.Context, c Config) (*Result, error) {
-	return DefaultSession().Run(ctx, e, c)
+	plan  func(c Config) []Request
 }
 
 // All returns every experiment in paper order.
@@ -145,11 +152,11 @@ func All() []Experiment {
 		{ID: "fig12d", Title: "Fig. 12(d): normalized energy with the scheme", run: fig12d, plan: planPolicies(true)},
 		{ID: "fig13a", Title: "Fig. 13(a): performance degradation without the scheme", run: fig13a, plan: planPolicies(false)},
 		{ID: "fig13b", Title: "Fig. 13(b): performance degradation with the scheme", run: fig13b, plan: planPolicies(true)},
-		{ID: "fig13c", Title: "Fig. 13(c): energy reduction vs number of I/O nodes", run: fig13cDef.run, plan: fig13cDef.specs},
-		{ID: "fig13d", Title: "Fig. 13(d): energy reduction vs delta", run: fig13dDef.run, plan: fig13dDef.specs},
-		{ID: "fig14a", Title: "Fig. 14(a): energy reduction vs theta", run: fig14aDef.run, plan: fig14aDef.specs},
+		{ID: "fig13c", Title: "Fig. 13(c): energy reduction vs number of I/O nodes", run: fig13cDef.run, plan: fig13cDef.requests},
+		{ID: "fig13d", Title: "Fig. 13(d): energy reduction vs delta", run: fig13dDef.run, plan: fig13dDef.requests},
+		{ID: "fig14a", Title: "Fig. 14(a): energy reduction vs theta", run: fig14aDef.run, plan: fig14aDef.requests},
 		{ID: "fig14b", Title: "Fig. 14(b): performance improvement vs theta", run: fig14b, plan: planFig14b},
-		{ID: "cachesens", Title: "Sec. V-D: storage-cache capacity sensitivity", run: cacheSensDef.run, plan: cacheSensDef.specs},
+		{ID: "cachesens", Title: "Sec. V-D: storage-cache capacity sensitivity", run: cacheSensDef.run, plan: cacheSensDef.requests},
 		{ID: "compile", Title: "Sec. V-A: compilation (scheduling pass) cost", run: compileCost},
 		{ID: "oracle", Title: "Oracle prediction upper bound (ablation)", run: oracle, plan: planOracle},
 		{ID: "palru", Title: "Power-aware storage-cache replacement (extension)", run: palruCache, plan: planPALRU},
@@ -183,16 +190,10 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("harness: unknown experiment %q (have %v)", id, ids)
 }
 
-// MemoSize reports how many distinct configurations the default session
-// has simulated in this process.
-//
-// Deprecated: use Session.MemoSize on an explicit session.
-func MemoSize() int { return DefaultSession().MemoSize() }
-
 // runOne resolves one (app × policy × scheme) configuration under the
 // default cluster config through the session cache.
 func runOne(ctx context.Context, s *Session, c Config, app string, kind power.Kind, scheduling bool) (*cluster.Result, error) {
-	res, _, err := s.run(ctx, c, defaultSpec(app, kind, scheduling))
+	res, _, err := s.run(ctx, c.request(app, kind, scheduling, ""))
 	return res, err
 }
 
@@ -214,20 +215,20 @@ func runBaselines(ctx context.Context, s *Session, c Config) (*baselineSet, erro
 }
 
 // planBaselines plans the Default Scheme run for every app.
-func planBaselines(c Config) []runSpec {
-	out := make([]runSpec, 0, len(c.Apps))
+func planBaselines(c Config) []Request {
+	out := make([]Request, 0, len(c.Apps))
 	for _, app := range c.Apps {
-		out = append(out, defaultSpec(app, power.KindDefault, false))
+		out = append(out, c.request(app, power.KindDefault, false, ""))
 	}
 	return out
 }
 
 // planCDF plans the default-policy runs of the idle CDFs.
-func planCDF(scheduling bool) func(Config) []runSpec {
-	return func(c Config) []runSpec {
-		out := make([]runSpec, 0, len(c.Apps))
+func planCDF(scheduling bool) func(Config) []Request {
+	return func(c Config) []Request {
+		out := make([]Request, 0, len(c.Apps))
 		for _, app := range c.Apps {
-			out = append(out, defaultSpec(app, power.KindDefault, scheduling))
+			out = append(out, c.request(app, power.KindDefault, scheduling, ""))
 		}
 		return out
 	}
@@ -235,77 +236,14 @@ func planCDF(scheduling bool) func(Config) []runSpec {
 
 // planPolicies plans the baselines plus every managed policy at the given
 // scheduling mode (the energy and degradation figures).
-func planPolicies(scheduling bool) func(Config) []runSpec {
-	return func(c Config) []runSpec {
+func planPolicies(scheduling bool) func(Config) []Request {
+	return func(c Config) []Request {
 		out := planBaselines(c)
 		for _, app := range c.Apps {
 			for _, k := range power.ManagedKinds() {
-				out = append(out, defaultSpec(app, k, scheduling))
+				out = append(out, c.request(app, k, scheduling, ""))
 			}
 		}
 		return out
 	}
 }
-
-// Compatibility wrappers: each exported experiment function delegates to
-// the default session (parallel execution included).
-
-func runCompat(id string, c Config) (*Result, error) {
-	e, err := ByID(id)
-	if err != nil {
-		return nil, err
-	}
-	return DefaultSession().Run(context.Background(), e, c)
-}
-
-// Table2 dumps the default configuration, mirroring Table II.
-func Table2(c Config) (*Result, error) { return runCompat("table2", c) }
-
-// Table3 reports the per-application Default Scheme baseline.
-func Table3(c Config) (*Result, error) { return runCompat("table3", c) }
-
-// Fig12a is the idle-period CDF without the scheme.
-func Fig12a(c Config) (*Result, error) { return runCompat("fig12a", c) }
-
-// Fig12b is the idle-period CDF with the scheme.
-func Fig12b(c Config) (*Result, error) { return runCompat("fig12b", c) }
-
-// Fig12c is normalized energy per policy without the scheme.
-func Fig12c(c Config) (*Result, error) { return runCompat("fig12c", c) }
-
-// Fig12d is normalized energy per policy with the scheme.
-func Fig12d(c Config) (*Result, error) { return runCompat("fig12d", c) }
-
-// Fig13a is performance degradation without the scheme.
-func Fig13a(c Config) (*Result, error) { return runCompat("fig13a", c) }
-
-// Fig13b is performance degradation with the scheme.
-func Fig13b(c Config) (*Result, error) { return runCompat("fig13b", c) }
-
-// Fig13c sweeps the number of I/O nodes.
-func Fig13c(c Config) (*Result, error) { return runCompat("fig13c", c) }
-
-// Fig13d sweeps the vertical reuse range δ.
-func Fig13d(c Config) (*Result, error) { return runCompat("fig13d", c) }
-
-// Fig14a sweeps θ for energy.
-func Fig14a(c Config) (*Result, error) { return runCompat("fig14a", c) }
-
-// Fig14b sweeps θ for performance improvement over θ=2.
-func Fig14b(c Config) (*Result, error) { return runCompat("fig14b", c) }
-
-// CacheSens varies the per-node storage-cache capacity (§V-D).
-func CacheSens(c Config) (*Result, error) { return runCompat("cachesens", c) }
-
-// CompileCost measures the wall-clock cost of the compiler pass per app.
-func CompileCost(c Config) (*Result, error) { return runCompat("compile", c) }
-
-// Oracle compares history-based prediction against an oracle fed true idle
-// lengths (ablation).
-func Oracle(c Config) (*Result, error) { return runCompat("oracle", c) }
-
-// PALRUCache compares plain LRU against the power-aware PA-LRU variant.
-func PALRUCache(c Config) (*Result, error) { return runCompat("palru", c) }
-
-// Ablations quantifies the §IV-B design choices on the scheduler itself.
-func Ablations(c Config) (*Result, error) { return runCompat("ablations", c) }

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"context"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -9,6 +11,19 @@ import (
 // tiny returns a config small enough for unit tests: two apps at 2% scale.
 func tiny() Config {
 	return Config{Scale: 0.02, Apps: []string{"sar", "madbench2"}, Seed: 1}
+}
+
+// testSession is shared by the single-experiment tests, so overlapping
+// plans (table3's baselines under fig12c) simulate once per package run.
+var testSession = NewSession(SessionOptions{})
+
+// runExperiment runs one experiment by id on testSession.
+func runExperiment(id string, c Config) (*Result, error) {
+	e, err := ByID(id)
+	if err != nil {
+		return nil, err
+	}
+	return testSession.Run(context.Background(), e, c)
 }
 
 func TestAllExperimentsRegistered(t *testing.T) {
@@ -37,7 +52,7 @@ func TestByID(t *testing.T) {
 }
 
 func TestTable2StaticValues(t *testing.T) {
-	res, err := Table2(tiny())
+	res, err := runExperiment("table2", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +65,7 @@ func TestTable2StaticValues(t *testing.T) {
 }
 
 func TestTable3Runs(t *testing.T) {
-	res, err := Table3(tiny())
+	res, err := runExperiment("table3", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +80,7 @@ func TestTable3Runs(t *testing.T) {
 }
 
 func TestFig12aCDFMonotone(t *testing.T) {
-	res, err := Fig12a(tiny())
+	res, err := runExperiment("fig12a", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +101,7 @@ func TestFig12aCDFMonotone(t *testing.T) {
 }
 
 func TestFig12cProducesBars(t *testing.T) {
-	res, err := Fig12c(tiny())
+	res, err := runExperiment("fig12c", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +114,7 @@ func TestFig12cProducesBars(t *testing.T) {
 }
 
 func TestCompileCost(t *testing.T) {
-	res, err := CompileCost(tiny())
+	res, err := runExperiment("compile", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +129,7 @@ func TestCompileCost(t *testing.T) {
 }
 
 func TestAblationsRun(t *testing.T) {
-	res, err := Ablations(Config{Scale: 0.02, Apps: []string{"sar"}, Seed: 1})
+	res, err := runExperiment("ablations", Config{Scale: 0.02, Apps: []string{"sar"}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +143,27 @@ func TestRenderContainsTitleAndRule(t *testing.T) {
 	out := res.Render()
 	if !strings.Contains(out, "== x: T ==") || !strings.Contains(out, "n\n") {
 		t.Fatalf("render = %q", out)
+	}
+}
+
+// TestConfigValidateRejects pins the config validation failures,
+// including the non-finite scales that would otherwise run as a clamped,
+// plausible-looking simulation.
+func TestConfigValidateRejects(t *testing.T) {
+	cases := []Config{
+		{Scale: -1},
+		{Scale: math.NaN()},
+		{Scale: math.Inf(1)},
+		{Scale: math.Inf(-1)},
+		{Apps: []string{"nosuch"}},
+	}
+	for _, c := range cases {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%+v validated, want error", c)
+		}
+	}
+	if err := (Config{}).Validate(); err != nil {
+		t.Errorf("zero config: %v", err)
 	}
 }
 
@@ -152,7 +188,7 @@ func TestOracleExperimentTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three cluster passes")
 	}
-	res, err := Oracle(Config{Scale: 0.02, Apps: []string{"sar"}, Seed: 1})
+	res, err := runExperiment("oracle", Config{Scale: 0.02, Apps: []string{"sar"}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +201,7 @@ func TestPALRUExperimentTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two cluster passes")
 	}
-	res, err := PALRUCache(Config{Scale: 0.02, Apps: []string{"sar"}, Seed: 1})
+	res, err := runExperiment("palru", Config{Scale: 0.02, Apps: []string{"sar"}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +214,7 @@ func TestFig13dSweepTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ten cluster passes")
 	}
-	res, err := Fig13d(Config{Scale: 0.02, Apps: []string{"madbench2"}, Seed: 1})
+	res, err := runExperiment("fig13d", Config{Scale: 0.02, Apps: []string{"madbench2"}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

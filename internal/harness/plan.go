@@ -13,13 +13,7 @@ import (
 // slices of it to workers, and because every element is canonical, the
 // shard contents are content-addressed and stable across processes.
 func PlanRequests(exps []Experiment, c Config) []Request {
-	c = c.withDefaults()
-	specs := planFor(exps, c)
-	out := make([]Request, len(specs))
-	for i, sp := range specs {
-		out[i] = sp.key(c)
-	}
-	return out
+	return planFor(exps, c.withDefaults())
 }
 
 // Install seeds the session cache with an externally-produced result —

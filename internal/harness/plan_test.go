@@ -2,6 +2,8 @@ package harness
 
 import (
 	"context"
+	"os"
+	"strings"
 	"testing"
 
 	"sdds/internal/cluster"
@@ -79,5 +81,31 @@ func TestInstallSeedsCache(t *testing.T) {
 	}
 	if _, err := s.Install(req, nil); err == nil {
 		t.Error("Install of nil result succeeded, want error")
+	}
+}
+
+// TestPlanKeysStable pins the run identity of the full paper plan: the
+// Key of every planned request over all six apps, in plan order, against
+// testdata/plan_keys.golden. Those keys are the store's content
+// addresses, so a change here orphans every stored result.
+func TestPlanKeysStable(t *testing.T) {
+	want, err := os.ReadFile("testdata/plan_keys.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for i, r := range PlanRequests(All(), Config{Scale: 0.05, Seed: 42}) {
+		norm, err := r.Normalize()
+		if err != nil {
+			t.Fatalf("plan element %d invalid: %v", i, err)
+		}
+		if norm != r {
+			t.Errorf("plan element %d not normalized: %+v normalizes to %+v", i, r, norm)
+		}
+		got.WriteString(r.Key())
+		got.WriteByte('\n')
+	}
+	if got.String() != string(want) {
+		t.Fatalf("plan keys drifted from testdata/plan_keys.golden:\n%s", got.String())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -88,8 +89,8 @@ func (r Request) Normalize() (Request, error) {
 	if r.Scale == 0 {
 		r.Scale = 1.0
 	}
-	if r.Scale < 0 {
-		return r, fmt.Errorf("harness: scale %v must be positive", r.Scale)
+	if err := checkScale(r.Scale); err != nil {
+		return r, err
 	}
 	if r.Seed == 0 {
 		r.Seed = 1
@@ -108,6 +109,17 @@ func (r Request) Normalize() (Request, error) {
 		return r, fmt.Errorf("harness: negative timeout %dms", r.TimeoutMS)
 	}
 	return r, nil
+}
+
+// checkScale rejects a negative or non-finite workload scale. NaN and ±Inf
+// would otherwise reach the workload generators (which clamp the bad trip
+// counts into a plausible-looking run), and a NaN-scale request is not
+// even equal to itself as a session-memo key.
+func checkScale(scale float64) error {
+	if scale < 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return fmt.Errorf("harness: scale %v must be a positive finite number", scale)
+	}
+	return nil
 }
 
 // Validate reports the first problem with the request, or nil.
@@ -152,40 +164,17 @@ func (r Request) ContentKey() string {
 }
 
 // Tag renders the request for progress lines, e.g.
-// "sar/history-based+sched (theta=8)".
+// "sar/history-based+sched (theta=8)". Like Key, it renders the fields as
+// given: normalize first.
 func (r Request) Tag() string {
-	sp, _, err := r.plan()
-	if err != nil {
-		return r.App + "/" + r.Policy
+	s := r.App + "/" + r.Policy
+	if r.Scheduling {
+		s += "+sched"
 	}
-	return sp.tag()
-}
-
-// plan resolves a request into the session's execution form: the run spec
-// (with the variant's config mutation attached) and the harness config.
-// The returned pair round-trips: sp.key(c) == r.canonical() after
-// normalization, which is what lets service-submitted requests share cache
-// slots and store entries with in-process experiment plans.
-func (r Request) plan() (runSpec, Config, error) {
-	r, err := r.Normalize()
-	if err != nil {
-		return runSpec{}, Config{}, err
+	if r.Variant != "" {
+		s += " (" + r.Variant + ")"
 	}
-	kind, err := power.ParseKind(r.Policy)
-	if err != nil {
-		return runSpec{}, Config{}, err
-	}
-	mutate, err := ParseVariant(r.Variant)
-	if err != nil {
-		return runSpec{}, Config{}, err
-	}
-	fc, err := fault.ParseSpec(r.Faults)
-	if err != nil {
-		return runSpec{}, Config{}, err
-	}
-	sp := runSpec{app: r.App, kind: kind, scheduling: r.Scheduling, variant: r.Variant, mutate: mutate}
-	c := Config{Scale: r.Scale, Seed: r.Seed, Faults: fc}
-	return sp, c, nil
+	return s
 }
 
 // BuildRun resolves the request to its simulation inputs: the scaled
@@ -193,11 +182,35 @@ func (r Request) plan() (runSpec, Config, error) {
 // translation from the canonical request model to cluster.RunContext
 // arguments — the session's workers and direct runners (sddsim) share it.
 func (r Request) BuildRun() (*loop.Program, cluster.Config, error) {
-	sp, c, err := r.plan()
+	r, err := r.Normalize()
 	if err != nil {
 		return nil, cluster.Config{}, err
 	}
-	return sp.build(c)
+	spec, err := workloads.ByName(r.App)
+	if err != nil {
+		return nil, cluster.Config{}, err
+	}
+	kind, err := power.ParseKind(r.Policy)
+	if err != nil {
+		return nil, cluster.Config{}, err
+	}
+	mutate, err := ParseVariant(r.Variant)
+	if err != nil {
+		return nil, cluster.Config{}, err
+	}
+	fc, err := fault.ParseSpec(r.Faults)
+	if err != nil {
+		return nil, cluster.Config{}, err
+	}
+	cfg := cluster.DefaultConfig()
+	cfg.Seed = r.Seed
+	cfg.Policy = power.Config{Kind: kind}
+	cfg.Scheduling = r.Scheduling
+	cfg.Faults = fc
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	return spec.Build(r.Scale), cfg, nil
 }
 
 // Variant grammar
@@ -317,6 +330,9 @@ func parseCacheBytes(val string) (int64, error) {
 		return 0, fmt.Errorf("harness: variant cache=%q: want bytes or an MB size like 32MB", val)
 	}
 	if mb {
+		if n > math.MaxInt64>>20 {
+			return 0, fmt.Errorf("harness: variant cache=%q: size overflows", val)
+		}
 		n <<= 20
 	}
 	return n, nil

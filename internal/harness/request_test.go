@@ -3,9 +3,12 @@ package harness
 import (
 	"context"
 	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"sdds/internal/cluster"
 	"sdds/internal/power"
 )
 
@@ -44,6 +47,9 @@ func TestRequestNormalizeRejects(t *testing.T) {
 		{},                                       // no app
 		{App: "nosuch"},                          // unknown app
 		{App: "sar", Scale: -1},                  // negative scale
+		{App: "sar", Scale: math.NaN()},          // NaN scale
+		{App: "sar", Scale: math.Inf(1)},         // +Inf scale
+		{App: "sar", Scale: math.Inf(-1)},        // -Inf scale
 		{App: "sar", Variant: "thetaa=8"},        // unknown variant key
 		{App: "sar", Variant: "theta=-3"},        // bad variant value
 		{App: "sar", Faults: "nonsense"},         // bad fault spec
@@ -53,33 +59,6 @@ func TestRequestNormalizeRejects(t *testing.T) {
 	for _, r := range cases {
 		if err := r.Validate(); err == nil {
 			t.Errorf("%+v validated, want error", r)
-		}
-	}
-}
-
-// TestRequestKeyMatchesSessionKey asserts the round-trip at the heart of
-// the redesign: a normalized request plans into (runSpec, Config) whose
-// session cache key is the request itself, so service-submitted requests
-// and in-process experiment plans share cache slots and store entries.
-func TestRequestKeyMatchesSessionKey(t *testing.T) {
-	reqs := []Request{
-		{App: "sar"},
-		{App: "hf", Policy: "history", Scheduling: true, Scale: 0.05, Seed: 42},
-		{App: "astro", Policy: "prediction-based", Variant: "nodes=16,theta=8"},
-		{App: "sar", Faults: "read=0.01,seed=7", Seed: 3},
-		{App: "wupwise", Variant: "cache=32MB,pacache", TimeoutMS: 5000},
-	}
-	for _, r := range reqs {
-		norm, err := r.Normalize()
-		if err != nil {
-			t.Fatalf("%+v: %v", r, err)
-		}
-		sp, c, err := r.plan()
-		if err != nil {
-			t.Fatalf("%+v: %v", r, err)
-		}
-		if got, want := sp.key(c), norm.canonical(); got != want {
-			t.Errorf("plan key %+v, want %+v", got, want)
 		}
 	}
 }
@@ -201,12 +180,74 @@ func TestSessionRunRequest(t *testing.T) {
 		t.Fatalf("InFlight() = %d after completion", s.InFlight())
 	}
 	// A plan-driven run of the same config must also hit.
-	sp := defaultSpec("sar", power.KindDefault, false)
-	_, out3, err := s.run(context.Background(), Config{Scale: 0.02, Seed: 7}.withDefaults(), sp)
+	planned := Config{Scale: 0.02, Seed: 7}.withDefaults().request("sar", power.KindDefault, false, "")
+	_, out3, err := s.run(context.Background(), planned)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !out3.hit {
 		t.Fatal("plan-driven run of the same config missed the request's cache slot")
 	}
+}
+
+// FuzzVariantTag checks the variant grammar: canonVariant is idempotent,
+// and a tag and its canonical form denote the same cluster config.
+func FuzzVariantTag(f *testing.F) {
+	f.Fuzz(func(t *testing.T, tag string) {
+		canon, err := canonVariant(tag)
+		mutate, perr := ParseVariant(tag)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("canonVariant(%q) err=%v but ParseVariant err=%v", tag, err, perr)
+		}
+		if err != nil {
+			return
+		}
+		again, err := canonVariant(canon)
+		if err != nil || again != canon {
+			t.Fatalf("canonVariant not idempotent: %q -> %q -> %q (%v)", tag, canon, again, err)
+		}
+		mutateCanon, err := ParseVariant(canon)
+		if err != nil {
+			t.Fatalf("ParseVariant(%q): %v", canon, err)
+		}
+		a, b := cluster.DefaultConfig(), cluster.DefaultConfig()
+		if mutate != nil {
+			mutate(&a)
+		}
+		if mutateCanon != nil {
+			mutateCanon(&b)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("tag %q and its canonical form %q build different configs", tag, canon)
+		}
+	})
+}
+
+// FuzzRequestNormalize checks request normalization: Normalize is
+// idempotent, and the canonical key survives a JSON round-trip (the wire
+// form the service and the journal carry).
+func FuzzRequestNormalize(f *testing.F) {
+	f.Fuzz(func(t *testing.T, app, policy string, sched bool, scale float64, seed int64, variant, faults string, timeoutMS int64) {
+		r := Request{App: app, Policy: policy, Scheduling: sched, Scale: scale,
+			Seed: seed, Variant: variant, Faults: faults, TimeoutMS: timeoutMS}
+		norm, err := r.Normalize()
+		if err != nil {
+			return
+		}
+		again, err := norm.Normalize()
+		if err != nil || again != norm {
+			t.Fatalf("Normalize not idempotent: %+v -> %+v -> %+v (%v)", r, norm, again, err)
+		}
+		buf, err := json.Marshal(norm)
+		if err != nil {
+			t.Fatalf("marshal %+v: %v", norm, err)
+		}
+		var back Request
+		if err := json.Unmarshal(buf, &back); err != nil {
+			t.Fatalf("unmarshal %s: %v", buf, err)
+		}
+		if back.Key() != norm.Key() {
+			t.Fatalf("key drifted through JSON: %q vs %q", back.Key(), norm.Key())
+		}
+	})
 }

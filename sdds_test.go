@@ -144,18 +144,3 @@ func TestPublicFacadeSession(t *testing.T) {
 		t.Fatal("CompileContext accepted a cancelled context")
 	}
 }
-
-// TestPublicFacadeExperimentRunContext checks the compatibility surface:
-// Experiment.Run and Experiment.RunContext share the default session.
-func TestPublicFacadeExperimentRunContext(t *testing.T) {
-	e, err := sdds.ExperimentByID("table2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(sdds.HarnessConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.RunContext(context.Background(), sdds.HarnessConfig{}); err != nil {
-		t.Fatal(err)
-	}
-}
