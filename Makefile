@@ -109,14 +109,17 @@ shard-smoke:
 	$(GO) test -run TestShardSmokeBinary -count=1 -v ./internal/service
 
 # Perf trajectory: engine microbenchmarks (steady-state schedule+fire, the
-# container/heap baseline they are measured against) plus a fig12c-shape
-# experiment, a full scheduled cluster run, and the compile-cache θ-sweep
-# pair (cold inline compiles vs a warmed artifact cache), all with
-# -benchmem, written as BENCH_sim.json (benchmark name → ns/op, B/op,
+# container/heap baseline they are measured against), the compile layer
+# (core.Scheduler on a 500-access problem, polyhedral slack analysis), plus
+# a fig12c-shape experiment, a full scheduled cluster run, and the
+# compile-cache θ-sweep pair (cold inline compiles vs a warmed artifact
+# cache), all with -benchmem, written as BENCH_sim.json (benchmark name → ns/op, B/op,
 # allocs/op, custom virtual_* metrics) so future PRs can diff ns/event and
 # allocs/event. BENCH_CMD is shared with bench-check so the recorded and
 # checked runs cannot drift.
 BENCH_CMD = { $(GO) test -bench . -benchmem -run '^$$' ./internal/sim && \
+	  $(GO) test -bench '^(BenchmarkScheduleMedium|BenchmarkAnalyze)$$' -benchmem -run '^$$' \
+	    ./internal/core ./internal/polyhedral && \
 	  $(GO) test -bench '^(BenchmarkFig12c|BenchmarkEndToEndScheduledRun|BenchmarkThetaSweepCold|BenchmarkThetaSweepWarm)$$' \
 	    -benchmem -benchtime 1x -run '^$$' . ; }
 

@@ -56,6 +56,8 @@ func (a *Access) LatestStart() int {
 // Validate reports the first problem with the access, or nil.
 func (a *Access) Validate(numSlots, numNodes int) error {
 	switch {
+	case a.Proc < 0:
+		return fmt.Errorf("core: access %d: negative process %d", a.ID, a.Proc)
 	case a.Length < 1:
 		return fmt.Errorf("core: access %d: length %d < 1", a.ID, a.Length)
 	case a.Begin < 0 || a.End < a.Begin:

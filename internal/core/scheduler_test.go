@@ -46,6 +46,7 @@ func TestAccessValidate(t *testing.T) {
 		{ID: 1, Begin: 0, End: 10, Length: 1, Sig: sig16(1)},
 		{ID: 1, Begin: 0, End: 5, Length: 1, Sig: sig4(1)},
 		{ID: 1, Begin: 0, End: 5, Length: 1, Sig: sig16()},
+		{ID: 1, Proc: -1, Begin: 0, End: 5, Length: 1, Sig: sig16(1)},
 	}
 	for i, a := range bad {
 		if err := a.Validate(10, 16); err == nil {
@@ -172,6 +173,7 @@ func TestPaperExtendedExample(t *testing.T) {
 	// t4/t8 weight 2/3, t3/t9 weight 1/3 (δ=2).
 	inv := func(slot int) float64 { return a2.Sig.InverseDistance(s.GroupSignature(slot)) }
 	want := inv(5) + inv(6) + inv(7) + 2.0/3*(inv(4)+inv(8)) + 1.0/3*(inv(3)+inv(9))
+	s.prepare(a2) // reuseFactor reads the per-access inverse-distance cache
 	if got := s.reuseFactor(a2, 5); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("extended reuse factor at t5 = %v, want %v", got, want)
 	}
@@ -180,11 +182,13 @@ func TestPaperExtendedExample(t *testing.T) {
 	// A2's span), as the paper states.
 	s2, a2b, _ := mk(2)
 	// Re-derive eligibility on a fresh scheduler with the pre accesses only.
+	s2.prepare(a2b) // thetaOK reads the per-access node list
 	if !s2.thetaOK(a2b, 5) {
 		t.Fatal("t5 must satisfy θ=2 for A2 (paper's example)")
 	}
 	// θ=1: node 1 already carries A1 across t5..t7, so adding A2 violates.
 	s1, a2c, _ := mk(1)
+	s1.prepare(a2c)
 	if s1.thetaOK(a2c, 5) {
 		t.Fatal("t5 must violate θ=1 for A2")
 	}
@@ -448,6 +452,12 @@ func TestScheduleRejectsInvalidAccess(t *testing.T) {
 	s, _ := NewScheduler(Params{NumSlots: 10, NumNodes: 4, Delta: 1})
 	if _, err := s.Schedule([]*Access{{ID: 1, Begin: 0, End: 20, Length: 1, Sig: sig4(0)}}); err == nil {
 		t.Fatal("out-of-range slack accepted")
+	}
+	// A negative process id must be an error, not an index panic in the
+	// per-process occupancy rows.
+	s, _ = NewScheduler(Params{NumSlots: 10, NumNodes: 4, Delta: 1, Theta: 2})
+	if _, err := s.Schedule([]*Access{{ID: 1, Proc: -1, Begin: 0, End: 5, Length: 1, Sig: sig4(0)}}); err == nil {
+		t.Fatal("negative process accepted")
 	}
 }
 
