@@ -5,10 +5,7 @@
 // Liao et al.).
 package cache
 
-import (
-	"container/list"
-	"fmt"
-)
+import "fmt"
 
 // Key identifies a cached block: a file id plus a block index within the
 // file (the block granularity is chosen by the owner — stripe units for the
@@ -21,15 +18,14 @@ type Key struct {
 // String renders "file:block".
 func (k Key) String() string { return fmt.Sprintf("%d:%d", k.File, k.Block) }
 
-type entry struct {
-	key  Key
-	size int64
-}
-
 // Store is the block-cache behaviour shared by LRU and PALRU, which the
 // I/O node's storage cache is written against.
 type Store interface {
 	Get(k Key) (size int64, ok bool)
+	// Put inserts or refreshes k and returns the keys it evicted, oldest
+	// first. The evicted slice may alias a buffer that the store reuses on
+	// its next Put (LRU does; PALRU returns a fresh slice): a caller that
+	// keeps the keys past the next Put must copy them.
 	Put(k Key, size int64) (evicted []Key, ok bool)
 	Contains(k Key) bool
 	Remove(k Key) bool
@@ -47,13 +43,31 @@ var (
 // LRU is a least-recently-used cache with a byte capacity. It stores block
 // sizes, not payloads — the simulation tracks residency, not data. The zero
 // value is not usable; use New.
+//
+// The recency list is intrusive and slice-backed: entries live in one
+// slice linked by int32 indices, removed entries go on a free list, and
+// items maps each key to its entry index. Once the slice has grown to the
+// resident high-water mark, Put, Get and Remove allocate nothing.
 type LRU struct {
 	capacity int64
 	used     int64
-	order    *list.List // front = most recent
-	items    map[Key]*list.Element
+	entries  []lruEntry
+	head     int32 // most recently used entry, or nilEntry
+	tail     int32 // least recently used entry, or nilEntry
+	free     int32 // first free entry (linked through next), or nilEntry
+	items    map[Key]int32
+	evictBuf []Key // Put's reused result buffer
 
 	hits, misses, evictions int64
+}
+
+// nilEntry terminates the recency and free lists.
+const nilEntry int32 = -1
+
+type lruEntry struct {
+	key        Key
+	size       int64
+	prev, next int32
 }
 
 // New returns an empty cache holding at most capacity bytes. Capacity must
@@ -64,8 +78,10 @@ func New(capacity int64) (*LRU, error) {
 	}
 	return &LRU{
 		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[Key]*list.Element),
+		head:     nilEntry,
+		tail:     nilEntry,
+		free:     nilEntry,
+		items:    make(map[Key]int32),
 	}, nil
 }
 
@@ -97,57 +113,54 @@ func (c *LRU) Contains(k Key) bool {
 }
 
 // Get probes the cache, promoting and counting a hit when resident.
+//
+//sddsvet:hotpath
 func (c *LRU) Get(k Key) (size int64, ok bool) {
-	el, ok := c.items[k]
+	i, ok := c.items[k]
 	if !ok {
 		c.misses++
 		return 0, false
 	}
 	c.hits++
-	c.order.MoveToFront(el)
-	e, _ := el.Value.(*entry)
-	if e == nil {
-		return 0, false
-	}
-	return e.size, true
+	c.moveToFront(i)
+	return c.entries[i].size, true
 }
 
 // Put inserts or refreshes a block, evicting LRU blocks to fit. It returns
-// the evicted keys (oldest first). Blocks larger than the whole capacity
-// are rejected with ok = false.
+// the evicted keys (oldest first, nil when nothing was evicted) in a buffer
+// the next Put reuses. Blocks larger than the whole capacity are rejected
+// with ok = false.
+//
+//sddsvet:hotpath
 func (c *LRU) Put(k Key, size int64) (evicted []Key, ok bool) {
 	if size <= 0 || size > c.capacity {
 		return nil, false
 	}
-	if el, exists := c.items[k]; exists {
-		e, _ := el.Value.(*entry)
-		if e != nil {
-			c.used += size - e.size
-			e.size = size
-		}
-		c.order.MoveToFront(el)
+	if i, exists := c.items[k]; exists {
+		c.used += size - c.entries[i].size
+		c.entries[i].size = size
+		c.moveToFront(i)
 	} else {
-		c.items[k] = c.order.PushFront(&entry{key: k, size: size})
+		c.items[k] = c.pushFront(k, size)
 		c.used += size
 	}
-	for c.used > c.capacity {
-		back := c.order.Back()
-		if back == nil {
-			break
-		}
-		e, _ := back.Value.(*entry)
-		if e == nil {
-			break
-		}
+	evicted = c.evictBuf[:0]
+	for c.used > c.capacity && c.tail != nilEntry {
+		back := c.tail
+		e := c.entries[back]
 		if e.key == k {
 			// Don't evict what we just inserted unless it alone overflows
 			// (excluded above), but guard against pathological loops.
-			c.order.MoveToFront(back)
+			c.moveToFront(back)
 			break
 		}
-		c.removeElement(back)
+		c.removeEntry(back)
 		c.evictions++
 		evicted = append(evicted, e.key)
+	}
+	c.evictBuf = evicted
+	if len(evicted) == 0 {
+		return nil, true
 	}
 	return evicted, true
 }
@@ -155,32 +168,80 @@ func (c *LRU) Put(k Key, size int64) (evicted []Key, ok bool) {
 // Remove invalidates a block (the client buffer's hit-then-invalidate
 // semantics). It reports whether the block was resident.
 func (c *LRU) Remove(k Key) bool {
-	el, ok := c.items[k]
+	i, ok := c.items[k]
 	if !ok {
 		return false
 	}
-	c.removeElement(el)
+	c.removeEntry(i)
 	return true
 }
 
-func (c *LRU) removeElement(el *list.Element) {
-	e, _ := el.Value.(*entry)
-	if e == nil {
-		return
+// pushFront links a new entry for k at the head, reusing a free slot when
+// one exists, and returns its index.
+func (c *LRU) pushFront(k Key, size int64) int32 {
+	i := c.free
+	if i != nilEntry {
+		c.free = c.entries[i].next
+	} else {
+		i = int32(len(c.entries))
+		c.entries = append(c.entries, lruEntry{})
 	}
-	c.order.Remove(el)
+	c.entries[i] = lruEntry{key: k, size: size, prev: nilEntry, next: nilEntry}
+	c.linkFront(i)
+	return i
+}
+
+// removeEntry unlinks entry i, drops it from the index and frees its slot.
+func (c *LRU) removeEntry(i int32) {
+	c.unlink(i)
+	e := &c.entries[i]
 	delete(c.items, e.key)
 	c.used -= e.size
+	e.next = c.free
+	c.free = i
+}
+
+func (c *LRU) moveToFront(i int32) {
+	if c.head == i {
+		return
+	}
+	c.unlink(i)
+	c.linkFront(i)
+}
+
+func (c *LRU) linkFront(i int32) {
+	e := &c.entries[i]
+	e.prev = nilEntry
+	e.next = c.head
+	if c.head != nilEntry {
+		c.entries[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+}
+
+func (c *LRU) unlink(i int32) {
+	e := &c.entries[i]
+	if e.prev != nilEntry {
+		c.entries[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next != nilEntry {
+		c.entries[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+	e.prev, e.next = nilEntry, nilEntry
 }
 
 // Keys returns resident keys from most to least recently used (diagnostics
 // and tests).
 func (c *LRU) Keys() []Key {
 	out := make([]Key, 0, len(c.items))
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		if e, ok := el.Value.(*entry); ok {
-			out = append(out, e.key)
-		}
+	for i := c.head; i != nilEntry; i = c.entries[i].next {
+		out = append(out, c.entries[i].key)
 	}
 	return out
 }

@@ -27,6 +27,12 @@ type PALRU struct {
 	hits, misses, evictions, protections int64
 }
 
+// entry is the PALRU list element payload.
+type entry struct {
+	key  Key
+	size int64
+}
+
 // NewPALRU builds a power-aware cache. active may be nil (degenerates to
 // plain LRU); lookahead ≤ 0 defaults to 8.
 func NewPALRU(capacity int64, active func(Key) bool, lookahead int) (*PALRU, error) {

@@ -225,3 +225,76 @@ func TestExtremeRatesTerminate(t *testing.T) {
 		t.Error("rate-1 faults never exhausted node retries")
 	}
 }
+
+// goldenFaultEntry pins one stress-injected run: the bit-exact fingerprint
+// and the per-layer fault and degradation counters.
+type goldenFaultEntry struct {
+	Fingerprint []string    `json:"fingerprint"`
+	Faults      *FaultStats `json:"faults"`
+}
+
+// TestInjectedMatchesGolden pins the fault-injected path against committed
+// fingerprints: all six apps × {scheduling off, on} under the history
+// policy and injectedConfig. The retry paths resubmit requests and re-read
+// chunks, so they are where a pooled record reused too early would show.
+// Regenerate with `go test ./internal/cluster -run TestInjectedMatchesGolden -update`.
+func TestInjectedMatchesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden matrix")
+	}
+	path := filepath.Join("testdata", "golden_faults.json")
+	got := make(map[string]goldenFaultEntry)
+	for _, spec := range workloads.All() {
+		prog := spec.Build(goldenScale)
+		for _, scheduling := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.Seed = goldenSeed
+			cfg.Policy = power.Config{Kind: power.KindHistory}
+			cfg.Scheduling = scheduling
+			cfg.Faults = injectedConfig()
+			res, err := Run(prog, cfg)
+			if err != nil {
+				t.Fatalf("%s/sched=%v: %v", spec.Name, scheduling, err)
+			}
+			if res.Faults.Total() == 0 {
+				t.Fatalf("%s/sched=%v: stress fault config injected nothing", spec.Name, scheduling)
+			}
+			got[goldenKey(spec.Name, power.KindHistory, scheduling)] = goldenFaultEntry{goldenFingerprint(res), res.Faults}
+		}
+	}
+	data, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = append(data, '\n')
+	if *goldenUpdate {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d fault fingerprints to %s", len(got), path)
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading fault golden file (regenerate with -update): %v", err)
+	}
+	want := make(map[string]goldenFaultEntry)
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Errorf("have %d configurations, fault golden file has %d", len(got), len(want))
+	}
+	for k, w := range want {
+		g, ok := got[k]
+		if !ok {
+			t.Errorf("%s: missing from this run", k)
+			continue
+		}
+		gj, _ := json.Marshal(g)
+		wj, _ := json.Marshal(w)
+		if string(gj) != string(wj) {
+			t.Errorf("%s: injected run diverged from golden\n got %s\nwant %s", k, gj, wj)
+		}
+	}
+}

@@ -35,6 +35,10 @@ func (o Op) String() string {
 // surfaces as a non-nil Err on the completed request, and the submitter
 // decides whether to resubmit. Submit clears Err, so reusing a request
 // object for a retry needs no extra bookkeeping.
+//
+// The disk neither retains nor touches r once Done returns, so the
+// submitter may recycle r (pool it, resubmit it, or reuse it for another
+// request) from inside Done or any time after.
 type Request struct {
 	Op     Op
 	Sector int64
@@ -261,10 +265,10 @@ func (d *Disk) closeIdleGap(now sim.Time) {
 // for queued predecessors.
 func (d *Disk) Submit(r *Request) error {
 	if r.Bytes <= 0 {
-		return fmt.Errorf("disk %d: request bytes %d must be positive", d.ID, r.Bytes)
+		return fmt.Errorf("disk %d: request bytes %d must be positive", d.ID, r.Bytes) //sddsvet:ignore hotalloc -- error path: argument validation only
 	}
 	if r.Sector < 0 || r.Sector >= d.params.TotalSectors() {
-		return fmt.Errorf("disk %d: sector %d out of range [0,%d)", d.ID, r.Sector, d.params.TotalSectors())
+		return fmt.Errorf("disk %d: sector %d out of range [0,%d)", d.ID, r.Sector, d.params.TotalSectors()) //sddsvet:ignore hotalloc -- error path: argument validation only
 	}
 	now := d.eng.Now()
 	r.Arrival = now

@@ -665,3 +665,55 @@ func TestDeferredUpShiftBreaksSaturation(t *testing.T) {
 		t.Fatalf("disk trapped at %d RPM under saturation", d.RPM())
 	}
 }
+
+// sqrtInt20 is the previous form of sqrtInt: always twenty Newton steps.
+func sqrtInt20(v int64) float64 {
+	if v <= 0 {
+		return 0
+	}
+	x := float64(v)
+	g := x / 2
+	if g < 1 {
+		g = 1
+	}
+	for i := 0; i < 20; i++ {
+		g = (g + x/g) / 2
+	}
+	return g
+}
+
+// TestSqrtIntMatchesTwentySteps checks that stopping at the Newton fixed
+// point is bit-identical to running all twenty steps, for every seek
+// distance the default geometry can produce.
+func TestSqrtIntMatchesTwentySteps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive over every cylinder distance")
+	}
+	maxDist := DefaultParams().Cylinders()
+	for v := int64(-1); v <= maxDist; v++ {
+		if got, want := sqrtInt(v), sqrtInt20(v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("sqrtInt(%d) = %v, twenty steps give %v", v, got, want)
+		}
+	}
+}
+
+// TestEnergyBreakdownTouchedStates checks that Breakdown lists exactly the
+// states the account has charged, zero-length stays included.
+func TestEnergyBreakdownTouchedStates(t *testing.T) {
+	a := NewEnergyAccount(0, StateIdle, 10)
+	a.SetDraw(sim.Second, StateSeeking, 20)
+	a.SetDraw(sim.Second, StateTransferring, 30) // zero-length seek
+	got := a.Breakdown(2 * sim.Second)
+	want := map[State]float64{StateIdle: 10, StateSeeking: 0, StateTransferring: 30}
+	if len(got) != len(want) {
+		t.Fatalf("Breakdown = %v, want %v", got, want)
+	}
+	for s, j := range want {
+		if g, ok := got[s]; !ok || math.Abs(g-j) > 1e-9 {
+			t.Fatalf("Breakdown[%v] = %v (present %v), want %v", s, g, ok, j)
+		}
+	}
+	if a.JoulesIn(2*sim.Second, State(0)) != 0 || a.TimeIn(2*sim.Second, State(99)) != 0 {
+		t.Fatal("invalid state reported energy or time")
+	}
+}

@@ -2,6 +2,10 @@ package disk
 
 import "sdds/internal/sim"
 
+// numStateSlots sizes the per-state arrays: State values run from 1 to
+// StateShiftingRPM, so index 0 stays unused.
+const numStateSlots = int(StateShiftingRPM) + 1
+
 // EnergyAccount integrates power over virtual time, attributing energy and
 // residence time to each disk state. The disk calls setDraw on every state
 // or RPM change; the account accumulates P·Δt joules since the last change.
@@ -9,8 +13,9 @@ type EnergyAccount struct {
 	last      sim.Time
 	drawW     float64
 	state     State
-	energyJ   map[State]float64
-	timeBy    map[State]sim.Duration
+	energyJ   [numStateSlots]float64
+	timeBy    [numStateSlots]sim.Duration
+	touched   uint16 // bit s set once state s has been charged
 	totalJ    float64
 	startTime sim.Time
 }
@@ -22,11 +27,12 @@ func NewEnergyAccount(now sim.Time, state State, drawW float64) *EnergyAccount {
 		last:      now,
 		drawW:     drawW,
 		state:     state,
-		energyJ:   make(map[State]float64, 8),
-		timeBy:    make(map[State]sim.Duration, 8),
 		startTime: now,
 	}
 }
+
+// validState reports whether s indexes the per-state arrays.
+func validState(s State) bool { return s > 0 && int(s) < numStateSlots }
 
 // accrue charges the elapsed interval at the current draw.
 func (a *EnergyAccount) accrue(now sim.Time) {
@@ -35,8 +41,11 @@ func (a *EnergyAccount) accrue(now sim.Time) {
 	}
 	dt := now - a.last
 	j := a.drawW * dt.Seconds()
-	a.energyJ[a.state] += j
-	a.timeBy[a.state] += dt
+	if validState(a.state) {
+		a.energyJ[a.state] += j
+		a.timeBy[a.state] += dt
+		a.touched |= 1 << a.state
+	}
 	a.totalJ += j
 	a.last = now
 }
@@ -58,12 +67,18 @@ func (a *EnergyAccount) TotalJoules(now sim.Time) float64 {
 // JoulesIn returns energy attributed to one state up to now.
 func (a *EnergyAccount) JoulesIn(now sim.Time, s State) float64 {
 	a.accrue(now)
+	if !validState(s) {
+		return 0
+	}
 	return a.energyJ[s]
 }
 
 // TimeIn returns residence time in one state up to now.
 func (a *EnergyAccount) TimeIn(now sim.Time, s State) sim.Duration {
 	a.accrue(now)
+	if !validState(s) {
+		return 0
+	}
 	return a.timeBy[s]
 }
 
@@ -73,12 +88,15 @@ func (a *EnergyAccount) Elapsed(now sim.Time) sim.Duration {
 	return now - a.startTime
 }
 
-// Breakdown returns a copy of the per-state energy map up to now.
+// Breakdown returns the per-state energy up to now, holding only the states
+// the account has charged at least once.
 func (a *EnergyAccount) Breakdown(now sim.Time) map[State]float64 {
 	a.accrue(now)
-	out := make(map[State]float64, len(a.energyJ))
-	for k, v := range a.energyJ {
-		out[k] = v
+	out := make(map[State]float64, numStateSlots)
+	for s := State(1); int(s) < numStateSlots; s++ {
+		if a.touched&(1<<s) != 0 {
+			out[s] = a.energyJ[s]
+		}
 	}
 	return out
 }

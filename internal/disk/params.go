@@ -219,8 +219,14 @@ func sqrtInt(v int64) float64 {
 	if g < 1 {
 		g = 1
 	}
+	// At most 20 steps; stop early at the fixed point, where every further
+	// step would return g unchanged, so the result is bit-identical.
 	for i := 0; i < 20; i++ {
-		g = (g + x/g) / 2
+		next := (g + x/g) / 2
+		if next == g {
+			break
+		}
+		g = next
 	}
 	return g
 }

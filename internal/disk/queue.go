@@ -1,7 +1,5 @@
 package disk
 
-import "sort"
-
 // elevator implements the SCAN (elevator) disk-arm scheduling discipline
 // from Table II: pending requests are served in cylinder order, continuing
 // in the current sweep direction and reversing at the last request.
@@ -17,12 +15,26 @@ func (q *elevator) Len() int { return len(q.pending) }
 
 // Push inserts a request keeping the slice cylinder-sorted.
 func (q *elevator) Push(r *Request) {
-	i := sort.Search(len(q.pending), func(i int) bool {
-		return q.pending[i].cylinder >= r.cylinder
-	})
+	i := q.firstAtOrAbove(r.cylinder)
 	q.pending = append(q.pending, nil)
 	copy(q.pending[i+1:], q.pending[i:])
 	q.pending[i] = r
+}
+
+// firstAtOrAbove returns the index of the first pending request whose
+// cylinder is at or above cyl (len(pending) if none): sort.Search's binary
+// search, written out so no predicate closure is built per call.
+func (q *elevator) firstAtOrAbove(cyl int64) int {
+	lo, hi := 0, len(q.pending)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if q.pending[mid].cylinder >= cyl {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // Pop removes and returns the next request to serve given the head position,
@@ -34,7 +46,7 @@ func (q *elevator) Pop(headCyl int64) *Request {
 		return nil
 	}
 	// Index of first request at or above the head.
-	i := sort.Search(n, func(i int) bool { return q.pending[i].cylinder >= headCyl }) //sddsvet:ignore hotalloc -- sort.Search predicate does not escape: no per-call heap allocation
+	i := q.firstAtOrAbove(headCyl)
 	var pick int
 	if q.up {
 		if i < n {

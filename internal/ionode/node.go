@@ -79,7 +79,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ionode: negative flush epoch")
 	}
 	// Dry-run the mapper to surface level/member mismatches.
-	if _, err := raidMap(c.Level, c.Members, 0, 0, 1, false, int64(c.DiskParams.SectorSize), c.UnitBytes); err != nil {
+	var ios [2]diskIO
+	if _, err := raidMap(c.Level, c.Members, 0, 0, 1, false, int64(c.DiskParams.SectorSize), c.UnitBytes, &ios); err != nil {
 		return err
 	}
 	return nil
@@ -113,7 +114,14 @@ type Node struct {
 	// Stride prefetcher state (per file).
 	lastUnit  map[int]int64
 	lastDelta map[int]int64
-	inflight  map[cache.Key][]func(sim.Time, bool) // miss coalescing
+	inflight  map[cache.Key]*fetch // miss coalescing
+
+	// totalSectors is DiskParams.TotalSectors(), computed once.
+	totalSectors int64
+
+	// Free lists of completed member-disk batches and unit fetches.
+	batchFree []*batch
+	fetchFree []*fetch
 
 	// Write-back state: dirty units awaiting the epoch flush.
 	dirty      map[cache.Key]int64 // key → bytes pending
@@ -128,6 +136,11 @@ type Node struct {
 	// done func(sim.Time, bool). Bound once so the cache-hit and
 	// write-back-ack paths schedule without a per-call closure.
 	okCb sim.ArgHandler
+	// retryCb resubmits a member request (arg *memberIO) after an injected
+	// transient error; bound once like okCb.
+	retryCb sim.ArgHandler
+	// flushFn is the write-back epoch timer, bound once.
+	flushFn sim.Handler
 
 	stats Stats
 }
@@ -141,17 +154,20 @@ func New(eng *sim.Engine, id int, cfg Config) (*Node, error) {
 		cfg.FlushEpoch = 10 * sim.Second
 	}
 	n := &Node{
-		ID:        id,
-		eng:       eng,
-		cfg:       cfg,
-		lastUnit:  make(map[int]int64),
-		lastDelta: make(map[int]int64),
-		inflight:  make(map[cache.Key][]func(sim.Time, bool)),
-		dirty:     make(map[cache.Key]int64),
-		pr:        eng.Probe(),
-		flt:       eng.Faults(),
+		ID:           id,
+		eng:          eng,
+		cfg:          cfg,
+		lastUnit:     make(map[int]int64),
+		lastDelta:    make(map[int]int64),
+		inflight:     make(map[cache.Key]*fetch),
+		dirty:        make(map[cache.Key]int64),
+		totalSectors: cfg.DiskParams.TotalSectors(),
+		pr:           eng.Probe(),
+		flt:          eng.Faults(),
 	}
 	n.okCb = n.onOK
+	n.retryCb = n.resubmit
+	n.flushFn = n.onFlushTimer
 	for i := 0; i < cfg.Members; i++ {
 		d, err := disk.New(eng, id*100+i, cfg.DiskParams)
 		if err != nil {
@@ -184,9 +200,9 @@ func MustNew(eng *sim.Engine, id int, cfg Config) *Node {
 // spinning (the PA-LRU activity callback): blocks of sleeping disks are
 // protected from eviction.
 func (n *Node) diskAwake(k cache.Key) bool {
-	ios, err := raidMap(n.cfg.Level, n.cfg.Members, k.Block, 0, 1, false,
-		int64(n.cfg.DiskParams.SectorSize), n.cfg.UnitBytes)
-	if err != nil || len(ios) == 0 {
+	var ios [2]diskIO
+	if _, err := raidMap(n.cfg.Level, n.cfg.Members, k.Block, 0, 1, false,
+		int64(n.cfg.DiskParams.SectorSize), n.cfg.UnitBytes, &ios); err != nil {
 		return true
 	}
 	d := ios[0].disk
@@ -238,7 +254,7 @@ func (n *Node) onOK(now sim.Time, arg any) { arg.(func(sim.Time, bool))(now, tru
 // the cache) and trigger stride prefetch.
 func (n *Node) Read(file int, unit, offset, length int64, done func(now sim.Time, ok bool)) error {
 	if length <= 0 || offset < 0 || offset+length > n.cfg.UnitBytes {
-		return fmt.Errorf("ionode %d: bad read range unit=%d off=%d len=%d", n.ID, unit, offset, length)
+		return fmt.Errorf("ionode %d: bad read range unit=%d off=%d len=%d", n.ID, unit, offset, length) //sddsvet:ignore hotalloc -- error path: argument validation only
 	}
 	// Injected node stall: the node accepts the request only after the
 	// stall elapses, then serves it normally.
@@ -270,26 +286,15 @@ func (n *Node) readNow(file int, unit, offset, length int64, done func(now sim.T
 	}
 	n.stats.CacheMisses++
 	n.pr.Emit(probe.KindCacheMiss, int32(n.ID), int64(n.eng.Now()), unit)
-	if waiters, ok := n.inflight[key]; ok {
+	if f, ok := n.inflight[key]; ok {
 		// Coalesce with an in-flight fetch of the same unit.
-		n.inflight[key] = append(waiters, done)
+		f.waiters = append(f.waiters, done)
 		return nil
 	}
-	n.inflight[key] = []func(sim.Time, bool){done}
-	if err := n.fetchUnit(file, unit, func(now sim.Time, ok bool) {
-		waiters := n.inflight[key]
-		delete(n.inflight, key)
-		if ok {
-			n.cache.Put(key, n.cfg.UnitBytes)
-		} else {
-			// Exhausted retries: the unit never arrived. Do not cache;
-			// waiters degrade (the middleware re-reads or fails the chunk).
-			n.stats.FailedUnits++
-		}
-		for _, w := range waiters {
-			w(now, ok)
-		}
-	}); err != nil {
+	f := n.newFetch(key)
+	f.waiters = append(f.waiters, done)
+	n.inflight[key] = f
+	if err := n.fetchUnit(unit, f.doneFn); err != nil {
 		delete(n.inflight, key)
 		return err
 	}
@@ -297,12 +302,59 @@ func (n *Node) readNow(file int, unit, offset, length int64, done func(now sim.T
 	return nil
 }
 
+// fetch is one in-flight whole-unit read from the member disks, with the
+// reads that coalesced onto it. Fetches are recycled through the node's
+// free list; doneFn is bound once, when the record is first built.
+type fetch struct {
+	n       *Node
+	key     cache.Key
+	waiters []func(now sim.Time, ok bool)
+	doneFn  func(now sim.Time, ok bool)
+}
+
+// newFetch takes a fetch record for key from the free list.
+func (n *Node) newFetch(key cache.Key) *fetch {
+	var f *fetch
+	if k := len(n.fetchFree); k > 0 {
+		f = n.fetchFree[k-1]
+		n.fetchFree = n.fetchFree[:k-1]
+	} else {
+		f = &fetch{n: n} //sddsvet:ignore hotalloc -- free-list warm-up: allocates only until the pool reaches steady state
+		f.doneFn = f.done
+	}
+	f.key = key
+	return f
+}
+
+// done completes the fetch: the unit is cached (or counted failed) and
+// every coalesced read completes in arrival order. The record returns to
+// the free list only after the last waiter has run.
+//
+//sddsvet:hotpath
+func (f *fetch) done(now sim.Time, ok bool) {
+	n := f.n
+	delete(n.inflight, f.key)
+	if ok {
+		n.cache.Put(f.key, n.cfg.UnitBytes)
+	} else {
+		// Exhausted retries: the unit never arrived. Do not cache;
+		// waiters degrade (the middleware re-reads or fails the chunk).
+		n.stats.FailedUnits++
+	}
+	for _, w := range f.waiters {
+		w(now, ok)
+	}
+	clear(f.waiters)
+	f.waiters = f.waiters[:0]
+	n.fetchFree = append(n.fetchFree, f)
+}
+
 // Write stores [offset, offset+length) of unit `unit` (write-through: data
 // and parity/mirror go to the member disks; the unit is installed in the
 // cache). ok=false only under fault injection with retries exhausted.
 func (n *Node) Write(file int, unit, offset, length int64, done func(now sim.Time, ok bool)) error {
 	if length <= 0 || offset < 0 || offset+length > n.cfg.UnitBytes {
-		return fmt.Errorf("ionode %d: bad write range unit=%d off=%d len=%d", n.ID, unit, offset, length)
+		return fmt.Errorf("ionode %d: bad write range unit=%d off=%d len=%d", n.ID, unit, offset, length) //sddsvet:ignore hotalloc -- error path: argument validation only
 	}
 	if n.flt.Hit(fault.SiteNodeStall) {
 		n.stats.Stalls++
@@ -334,12 +386,13 @@ func (n *Node) writeNow(file int, unit, offset, length int64, done func(now sim.
 		n.eng.ScheduleArg(n.cfg.CacheHitTime, "ionode.wb-ack", n.okCb, done)
 		return nil
 	}
-	ios, err := raidMap(n.cfg.Level, n.cfg.Members, unit, offset, length, true,
-		int64(n.cfg.DiskParams.SectorSize), n.cfg.UnitBytes)
+	var ios [2]diskIO
+	k, err := raidMap(n.cfg.Level, n.cfg.Members, unit, offset, length, true,
+		int64(n.cfg.DiskParams.SectorSize), n.cfg.UnitBytes, &ios)
 	if err != nil {
 		return err
 	}
-	return n.issue(ios, done)
+	return n.issue(ios[:k], done)
 }
 
 // armFlush schedules the next epoch flush if one is not pending.
@@ -348,14 +401,18 @@ func (n *Node) armFlush() {
 		return
 	}
 	n.flushTimer = true
-	//sddsvet:ignore hotalloc -- one closure per flush epoch (seconds apart), not per request
-	n.eng.ScheduleFunc(n.cfg.FlushEpoch, "ionode.flush", func(now sim.Time) {
-		n.flushTimer = false
-		n.Flush(now)
-		if len(n.dirty) > 0 {
-			n.armFlush()
-		}
-	})
+	n.eng.ScheduleFunc(n.cfg.FlushEpoch, "ionode.flush", n.flushFn)
+}
+
+// onFlushTimer is the epoch flush, bound once (flushFn). It runs seconds
+// apart, so Flush's per-epoch sorting and allocation stay off the
+// per-request path.
+func (n *Node) onFlushTimer(now sim.Time) {
+	n.flushTimer = false
+	n.Flush(now)
+	if len(n.dirty) > 0 {
+		n.armFlush()
+	}
 }
 
 // Flush writes all dirty units to the member disks (write-back mode). It is
@@ -381,13 +438,14 @@ func (n *Node) Flush(now sim.Time) {
 		return keys[i].Block < keys[j].Block
 	})
 	for _, key := range keys {
-		ios, err := raidMap(n.cfg.Level, n.cfg.Members, key.Block, 0, batch[key], true,
-			int64(n.cfg.DiskParams.SectorSize), n.cfg.UnitBytes)
+		var ios [2]diskIO
+		k, err := raidMap(n.cfg.Level, n.cfg.Members, key.Block, 0, batch[key], true,
+			int64(n.cfg.DiskParams.SectorSize), n.cfg.UnitBytes, &ios)
 		if err != nil {
 			continue
 		}
 		n.stats.Flushes++
-		if err := n.issue(ios, func(sim.Time, bool) {}); err != nil {
+		if err := n.issue(ios[:k], func(sim.Time, bool) {}); err != nil {
 			continue
 		}
 	}
@@ -397,13 +455,50 @@ func (n *Node) Flush(now sim.Time) {
 func (n *Node) DirtyUnits() int { return len(n.dirty) }
 
 // fetchUnit reads an entire stripe unit from the member disks.
-func (n *Node) fetchUnit(file int, unit int64, done func(now sim.Time, ok bool)) error {
-	ios, err := raidMap(n.cfg.Level, n.cfg.Members, unit, 0, n.cfg.UnitBytes, false,
-		int64(n.cfg.DiskParams.SectorSize), n.cfg.UnitBytes)
+func (n *Node) fetchUnit(unit int64, done func(now sim.Time, ok bool)) error {
+	var ios [2]diskIO
+	k, err := raidMap(n.cfg.Level, n.cfg.Members, unit, 0, n.cfg.UnitBytes, false,
+		int64(n.cfg.DiskParams.SectorSize), n.cfg.UnitBytes, &ios)
 	if err != nil {
 		return err
 	}
-	return n.issue(ios, done)
+	return n.issue(ios[:k], done)
+}
+
+// batch is the set of member-disk requests one logical unit access fans
+// out to: at most two, a RAID10 mirror pair or a RAID5 data+parity write.
+// Batches are recycled through the node's free list.
+type batch struct {
+	n         *Node
+	members   [2]memberIO
+	remaining int
+	allOK     bool
+	done      func(now sim.Time, ok bool)
+}
+
+// memberIO is one member-disk request of a batch. Its disk completion
+// (req.Done) is bound once, when the batch is first built.
+type memberIO struct {
+	req      disk.Request
+	b        *batch
+	d        *disk.Disk
+	attempts int
+}
+
+// newBatch takes a batch from the free list.
+func (n *Node) newBatch() *batch {
+	if k := len(n.batchFree); k > 0 {
+		b := n.batchFree[k-1]
+		n.batchFree = n.batchFree[:k-1]
+		return b
+	}
+	b := &batch{n: n} //sddsvet:ignore hotalloc -- free-list warm-up: allocates only until the pool reaches steady state
+	for i := range b.members {
+		m := &b.members[i]
+		m.b = b
+		m.req.Done = m.diskDone
+	}
+	return b
 }
 
 // issue submits the member-disk operations and calls done when the last
@@ -412,64 +507,80 @@ func (n *Node) fetchUnit(file int, unit int64, done func(now sim.Time, ok bool))
 // bounded by the injector's MaxRetries; a request that fails every retry
 // marks the whole batch failed (ok=false) — degradation, never a hang.
 func (n *Node) issue(ios []diskIO, done func(now sim.Time, ok bool)) error {
-	remaining := len(ios)
-	if remaining == 0 {
+	if len(ios) == 0 {
 		n.eng.ScheduleArg(0, "ionode.noop", n.okCb, done)
 		return nil
 	}
-	allOK := true
-	for _, io := range ios {
+	b := n.newBatch()
+	b.remaining = len(ios)
+	b.allOK = true
+	b.done = done
+	for i, io := range ios {
 		if io.disk < 0 || io.disk >= len(n.disks) {
-			return fmt.Errorf("ionode %d: mapped to invalid member %d", n.ID, io.disk)
+			// Requests already submitted still reference b, so it is
+			// left to the garbage collector rather than the free list.
+			return fmt.Errorf("ionode %d: mapped to invalid member %d", n.ID, io.disk) //sddsvet:ignore hotalloc -- error path: raidMap never maps outside the members
 		}
 		op := disk.OpRead
 		if io.write {
 			op = disk.OpWrite
 		}
 		sector := io.sector
-		if max := n.cfg.DiskParams.TotalSectors(); sector >= max {
-			sector = sector % max // wrap for scaled-down capacities
+		if sector >= n.totalSectors {
+			sector = sector % n.totalSectors // wrap for scaled-down capacities
 		}
-		d := n.disks[io.disk]
-		attempts := 0
-		var onDone func(now sim.Time, r *disk.Request)
-		onDone = func(now sim.Time, r *disk.Request) {
-			if r.Err != nil && attempts < n.flt.MaxRetries() {
-				attempts++
-				n.stats.Retries++
-				n.pr.Emit(probe.KindRetry, int32(n.ID), int64(now), int64(attempts))
-				backoff := sim.Duration(n.flt.RetryLatencyUS()) << (attempts - 1)
-				//sddsvet:ignore hotalloc -- fault path: one resubmit closure per injected transient error
-				n.eng.ScheduleFunc(backoff, "ionode.retry", func(at sim.Time) {
-					if d.Submit(r) != nil {
-						// Unreachable on a validated config; degrade
-						// rather than retry forever.
-						attempts = n.flt.MaxRetries()
-						onDone(at, r)
-					}
-				})
-				return
-			}
-			if r.Err != nil {
-				n.stats.RetriesExhausted++
-				allOK = false
-			}
-			remaining--
-			if remaining == 0 {
-				done(now, allOK)
-			}
-		}
-		req := &disk.Request{
-			Op:     op,
-			Sector: sector,
-			Bytes:  io.bytes,
-			Done:   onDone,
-		}
-		if err := d.Submit(req); err != nil {
+		m := &b.members[i]
+		m.d = n.disks[io.disk]
+		m.attempts = 0
+		m.req.Op = op
+		m.req.Sector = sector
+		m.req.Bytes = io.bytes
+		if err := m.d.Submit(&m.req); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// diskDone is a member request's completion: it retries an injected
+// transient error, and completes the batch when its last member finishes.
+// The batch returns to the free list after the caller's done has run, as
+// the last thing inside the disk's Done call.
+//
+//sddsvet:hotpath
+func (m *memberIO) diskDone(now sim.Time, r *disk.Request) {
+	b := m.b
+	n := b.n
+	if r.Err != nil && m.attempts < n.flt.MaxRetries() {
+		m.attempts++
+		n.stats.Retries++
+		n.pr.Emit(probe.KindRetry, int32(n.ID), int64(now), int64(m.attempts))
+		backoff := sim.Duration(n.flt.RetryLatencyUS()) << (m.attempts - 1)
+		n.eng.ScheduleArg(backoff, "ionode.retry", n.retryCb, m)
+		return
+	}
+	if r.Err != nil {
+		n.stats.RetriesExhausted++
+		b.allOK = false
+	}
+	b.remaining--
+	if b.remaining == 0 {
+		b.done(now, b.allOK)
+		b.done = nil
+		n.batchFree = append(n.batchFree, b)
+	}
+}
+
+// resubmit re-issues a failed member request (arg is its *memberIO) once
+// its retry backoff has elapsed.
+func (n *Node) resubmit(now sim.Time, arg any) {
+	m := arg.(*memberIO)
+	if m.d.Submit(&m.req) != nil {
+		// Unreachable on a validated config; degrade rather than retry
+		// forever.
+		m.attempts = n.flt.MaxRetries()
+		m.diskDone(now, &m.req)
+	}
 }
 
 // prefetch runs the per-file stride detector and fetches ahead on a match.
@@ -494,21 +605,11 @@ func (n *Node) prefetch(file int, unit int64) {
 				if _, busy := n.inflight[key]; busy {
 					continue
 				}
-				n.inflight[key] = nil
+				f := n.newFetch(key)
+				n.inflight[key] = f
 				n.stats.PrefetchIssued++
 				n.pr.Emit(probe.KindPrefetch, int32(n.ID), int64(n.eng.Now()), next)
-				if err := n.fetchUnit(file, next, func(now sim.Time, ok bool) {
-					waiters := n.inflight[key]
-					delete(n.inflight, key)
-					if ok {
-						n.cache.Put(key, n.cfg.UnitBytes)
-					} else {
-						n.stats.FailedUnits++
-					}
-					for _, w := range waiters {
-						w(now, ok)
-					}
-				}); err != nil {
+				if err := n.fetchUnit(next, f.doneFn); err != nil {
 					delete(n.inflight, key)
 					break
 				}

@@ -7,7 +7,7 @@ import (
 	"sdds/internal/sim"
 )
 
-func testNode(t *testing.T, mutate func(*Config)) (*sim.Engine, *Node) {
+func testNode(t testing.TB, mutate func(*Config)) (*sim.Engine, *Node) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig()
@@ -61,14 +61,14 @@ func TestParseRAID(t *testing.T) {
 
 func TestRAID5MappingReadAndWrite(t *testing.T) {
 	// 3 members: row 0 parity on disk 0, data units on disks 1, 2.
-	read, err := raidMap(RAID5, 3, 0, 0, 100, false, 512, 64<<10)
+	read, err := mapIOs(RAID5, 3, 0, 0, 100, false, 512, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(read) != 1 || read[0].disk != 1 || read[0].write {
 		t.Fatalf("read mapping = %+v", read)
 	}
-	write, err := raidMap(RAID5, 3, 1, 0, 100, true, 512, 64<<10)
+	write, err := mapIOs(RAID5, 3, 1, 0, 100, true, 512, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +79,14 @@ func TestRAID5MappingReadAndWrite(t *testing.T) {
 		t.Fatalf("write mapping = %+v", write)
 	}
 	// Row 1 (units 2,3): parity rotates to disk 1.
-	w2, _ := raidMap(RAID5, 3, 2, 0, 100, true, 512, 64<<10)
+	w2, _ := mapIOs(RAID5, 3, 2, 0, 100, true, 512, 64<<10)
 	if w2[1].disk != 1 {
 		t.Fatalf("rotating parity: row 1 parity on %d, want 1", w2[1].disk)
 	}
 }
 
 func TestRAID10MappingMirrorsWrites(t *testing.T) {
-	w, err := raidMap(RAID10, 4, 0, 0, 100, true, 512, 64<<10)
+	w, err := mapIOs(RAID10, 4, 0, 0, 100, true, 512, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,15 +95,15 @@ func TestRAID10MappingMirrorsWrites(t *testing.T) {
 	}
 	// Reads alternate mirrors across rows of the same pair. Pair count = 2,
 	// so units 0, 4, 8 are rows 0, 2, 4 of pair 0... unit = pair + row*pairs.
-	r0, _ := raidMap(RAID10, 4, 0, 0, 100, false, 512, 64<<10)
-	r1, _ := raidMap(RAID10, 4, 2, 0, 100, false, 512, 64<<10) // pair 0, row 1
+	r0, _ := mapIOs(RAID10, 4, 0, 0, 100, false, 512, 64<<10)
+	r1, _ := mapIOs(RAID10, 4, 2, 0, 100, false, 512, 64<<10) // pair 0, row 1
 	if r0[0].disk == r1[0].disk {
 		t.Fatalf("RAID10 reads did not alternate mirrors: %d vs %d", r0[0].disk, r1[0].disk)
 	}
 }
 
 func TestRAID0SingleOp(t *testing.T) {
-	ios, err := raidMap(RAID0, 4, 7, 1024, 512, false, 512, 64<<10)
+	ios, err := mapIOs(RAID0, 4, 7, 1024, 512, false, 512, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestPropertyRAID5RowDisjoint(t *testing.T) {
 		used := map[int]bool{}
 		for k := int64(0); k < dataPerRow; k++ {
 			unit := row*dataPerRow + k
-			ios, err := raidMap(RAID5, members, unit, 0, 64<<10, true, 512, 64<<10)
+			ios, err := mapIOs(RAID5, members, unit, 0, 64<<10, true, 512, 64<<10)
 			if err != nil || len(ios) != 2 {
 				return false
 			}
@@ -363,5 +363,126 @@ func TestFlushEpochValidation(t *testing.T) {
 	cfg.FlushEpoch = -1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative flush epoch accepted")
+	}
+}
+
+// mapIOs is raidMap returning the filled operations as a slice.
+func mapIOs(level RAIDLevel, members int, unit, offset, length int64, write bool, sectorSize, unitBytes int64) ([]diskIO, error) {
+	var out [2]diskIO
+	k, err := raidMap(level, members, unit, offset, length, write, sectorSize, unitBytes, &out)
+	return out[:k], err
+}
+
+// noteDone is a completion that allocates nothing per call.
+func noteDone(sim.Time, bool) {}
+
+// steadyNodeOp returns a node plus an op that reads (or writes) a fresh
+// stride-10 unit and drains the engine, so every read is a cache miss that
+// evicts. PrefetchDepth 0 keeps the stride detector from turning misses
+// into hits.
+func steadyNodeOp(tb testing.TB, write bool) func() {
+	eng := sim.NewEngine(1)
+	cfg := DefaultConfig()
+	cfg.CacheBytes = 16 * cfg.UnitBytes
+	cfg.PrefetchDepth = 0
+	n, err := New(eng, 0, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	unit := int64(0)
+	return func() {
+		unit = (unit + 10) % 100000
+		var err error
+		if write {
+			err = n.Write(1, unit, 0, 4096, noteDone)
+		} else {
+			err = n.Read(1, unit, 0, 4096, noteDone)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		eng.Run()
+	}
+}
+
+// TestNodeSteadyStateAllocFree checks that, once the batch, fetch and
+// cache pools are warm, a cache-miss read and a write-through write
+// allocate nothing.
+func TestNodeSteadyStateAllocFree(t *testing.T) {
+	for _, write := range []bool{false, true} {
+		op := steadyNodeOp(t, write)
+		for i := 0; i < 200; i++ {
+			op()
+		}
+		if allocs := testing.AllocsPerRun(500, op); allocs != 0 {
+			t.Errorf("write=%v: %v allocs per op, want 0", write, allocs)
+		}
+	}
+}
+
+func BenchmarkNodeRead(b *testing.B) {
+	b.Run("miss", func(b *testing.B) {
+		op := steadyNodeOp(b, false)
+		for i := 0; i < 200; i++ {
+			op()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op()
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		eng, n := testNode(b, nil)
+		if err := n.Read(1, 0, 0, 4096, noteDone); err != nil {
+			b.Fatal(err)
+		}
+		eng.Run()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := n.Read(1, 0, 0, 4096, noteDone); err != nil {
+				b.Fatal(err)
+			}
+			eng.Run()
+		}
+	})
+}
+
+// TestFetchRecycledAfterWaiters checks that a completed fetch record is not
+// reused while its waiters are still running: the first waiter of a
+// coalesced miss issues two reads of another unit, which take a record
+// from the free list and coalesce onto it, and every waiter must still run
+// exactly once, for its own unit.
+func TestFetchRecycledAfterWaiters(t *testing.T) {
+	eng, n := testNode(t, func(c *Config) { c.PrefetchDepth = 0 })
+	calls := map[string]int{}
+	waiter := func(name string) func(sim.Time, bool) {
+		return func(sim.Time, bool) { calls[name]++ }
+	}
+	first := func(sim.Time, bool) {
+		calls["a"]++
+		for _, name := range []string{"c", "d"} {
+			if err := n.Read(1, 100, 0, 4096, waiter(name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Warm the fetch free list so the nested reads reuse a record.
+	if err := n.Read(1, 50, 0, 4096, noteDone); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if err := n.Read(1, 5, 0, 4096, first); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Read(1, 5, 0, 4096, waiter("b")); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	for _, name := range []string{"a", "b", "c", "d"} {
+		if calls[name] != 1 {
+			t.Errorf("waiter %s ran %d times, want 1 (all: %v)", name, calls[name], calls)
+		}
 	}
 }

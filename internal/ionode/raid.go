@@ -60,7 +60,8 @@ type diskIO struct {
 }
 
 // raidMap translates a logical (unit, offset, length, isWrite) access into
-// member-disk operations for the given level and member count.
+// member-disk operations for the given level and member count. It fills
+// out and returns how many operations it wrote (one or two).
 //
 // Unit-to-disk placement:
 //   - RAID0: data disk = unit mod n; row = unit div n.
@@ -71,15 +72,15 @@ type diskIO struct {
 //     preserves the power/occupancy behaviour the evaluation needs).
 //   - RAID10: mirror pairs; pair = unit mod (n/2), row = unit div (n/2).
 //     Reads go to one mirror (alternating by row), writes to both.
-func raidMap(level RAIDLevel, members int, unit, offset, length int64, write bool, sectorSize, unitBytes int64) ([]diskIO, error) {
+func raidMap(level RAIDLevel, members int, unit, offset, length int64, write bool, sectorSize, unitBytes int64, out *[2]diskIO) (int, error) {
 	if members <= 0 {
-		return nil, fmt.Errorf("ionode: %d members", members)
+		return 0, fmt.Errorf("ionode: %d members", members) //sddsvet:ignore hotalloc -- error path: rejected by Config.Validate
 	}
 	if level == RAID5 && members < 3 {
-		return nil, fmt.Errorf("ionode: RAID5 needs ≥3 members, got %d", members)
+		return 0, fmt.Errorf("ionode: RAID5 needs ≥3 members, got %d", members) //sddsvet:ignore hotalloc -- error path: rejected by Config.Validate
 	}
 	if level == RAID10 && (members < 2 || members%2 != 0) {
-		return nil, fmt.Errorf("ionode: RAID10 needs an even member count ≥2, got %d", members)
+		return 0, fmt.Errorf("ionode: RAID10 needs an even member count ≥2, got %d", members) //sddsvet:ignore hotalloc -- error path: rejected by Config.Validate
 	}
 	sectorsPerUnit := unitBytes / sectorSize
 	if sectorsPerUnit <= 0 {
@@ -89,7 +90,8 @@ func raidMap(level RAIDLevel, members int, unit, offset, length int64, write boo
 	case RAID0:
 		row := unit / int64(members)
 		d := int(unit % int64(members))
-		return []diskIO{{disk: d, sector: row*sectorsPerUnit + offset/sectorSize, bytes: length, write: write}}, nil
+		out[0] = diskIO{disk: d, sector: row*sectorsPerUnit + offset/sectorSize, bytes: length, write: write}
+		return 1, nil
 
 	case RAID5:
 		dataPerRow := int64(members - 1)
@@ -101,11 +103,12 @@ func raidMap(level RAIDLevel, members int, unit, offset, length int64, write boo
 			d++
 		}
 		sector := row*sectorsPerUnit + offset/sectorSize
-		ios := []diskIO{{disk: d, sector: sector, bytes: length, write: write}}
+		out[0] = diskIO{disk: d, sector: sector, bytes: length, write: write}
 		if write {
-			ios = append(ios, diskIO{disk: parityDisk, sector: sector, bytes: length, write: true})
+			out[1] = diskIO{disk: parityDisk, sector: sector, bytes: length, write: true}
+			return 2, nil
 		}
-		return ios, nil
+		return 1, nil
 
 	case RAID10:
 		pairs := int64(members / 2)
@@ -115,19 +118,19 @@ func raidMap(level RAIDLevel, members int, unit, offset, length int64, write boo
 		b := a + 1
 		sector := row*sectorsPerUnit + offset/sectorSize
 		if write {
-			return []diskIO{
-				{disk: a, sector: sector, bytes: length, write: true},
-				{disk: b, sector: sector, bytes: length, write: true},
-			}, nil
+			out[0] = diskIO{disk: a, sector: sector, bytes: length, write: true}
+			out[1] = diskIO{disk: b, sector: sector, bytes: length, write: true}
+			return 2, nil
 		}
 		// Alternate mirrors by row to balance read load.
 		d := a
 		if row%2 == 1 {
 			d = b
 		}
-		return []diskIO{{disk: d, sector: sector, bytes: length, write: false}}, nil
+		out[0] = diskIO{disk: d, sector: sector, bytes: length, write: false}
+		return 1, nil
 
 	default:
-		return nil, fmt.Errorf("ionode: invalid RAID level %d", level)
+		return 0, fmt.Errorf("ionode: invalid RAID level %d", level) //sddsvet:ignore hotalloc -- error path: rejected by Config.Validate
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"sdds/internal/stripe"
 )
 
-func testMiddleware(t *testing.T, numNodes int) (*sim.Engine, *Middleware, []*ionode.Node) {
+func testMiddleware(t testing.TB, numNodes int) (*sim.Engine, *Middleware, []*ionode.Node) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	layout := stripe.Layout{NumNodes: numNodes, StripeSize: 64 << 10}
@@ -134,5 +134,46 @@ func TestConcurrentReadsComplete(t *testing.T) {
 	eng.Run()
 	if done != 20 {
 		t.Fatalf("%d of 20 reads completed", done)
+	}
+}
+
+// noteDone is a completion that allocates nothing per call.
+func noteDone(sim.Time, bool) {}
+
+// steadyRead returns an op that issues a four-chunk read at a fresh offset
+// and drains the engine, so the nodes see a mix of misses and hits.
+func steadyRead(tb testing.TB) func() {
+	eng, m, _ := testMiddleware(tb, 4)
+	offset := int64(0)
+	return func() {
+		offset = (offset + 7*(256<<10)) % (1 << 30)
+		if err := m.Read(0, offset, 256<<10, noteDone); err != nil {
+			tb.Fatal(err)
+		}
+		eng.Run()
+	}
+}
+
+// TestReadSteadyStateAllocFree checks that, once the call, chunk-op and
+// node pools are warm, a multi-chunk read allocates nothing.
+func TestReadSteadyStateAllocFree(t *testing.T) {
+	op := steadyRead(t)
+	for i := 0; i < 200; i++ {
+		op()
+	}
+	if allocs := testing.AllocsPerRun(500, op); allocs != 0 {
+		t.Fatalf("%v allocs per four-chunk read, want 0", allocs)
+	}
+}
+
+func BenchmarkMiddlewareRead(b *testing.B) {
+	op := steadyRead(b)
+	for i := 0; i < 200; i++ {
+		op()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 }

@@ -93,10 +93,10 @@ func MustNew(eng *sim.Engine, cfg Config) *Network {
 //sddsvet:hotpath
 func (n *Network) Transfer(node int, bytes int64, done func(now sim.Time)) error {
 	if node < 0 || node >= n.cfg.NumNodes {
-		return fmt.Errorf("netsim: node %d out of range [0,%d)", node, n.cfg.NumNodes)
+		return fmt.Errorf("netsim: node %d out of range [0,%d)", node, n.cfg.NumNodes) //sddsvet:ignore hotalloc -- error path: argument validation only
 	}
 	if bytes < 0 {
-		return fmt.Errorf("netsim: negative transfer size %d", bytes)
+		return fmt.Errorf("netsim: negative transfer size %d", bytes) //sddsvet:ignore hotalloc -- error path: argument validation only
 	}
 	now := n.eng.Now()
 	start := now

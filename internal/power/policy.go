@@ -409,7 +409,8 @@ func (p *historyPolicy) Attach(d *disk.Disk) {
 // bounded".
 func (p *historyPolicy) chooseRPM(params disk.Params, predicted sim.Duration) int {
 	best := params.MaxRPM
-	for _, rpm := range params.Levels() {
+	// Step through params.Levels() fastest-first without building it.
+	for rpm := params.MaxRPM; rpm >= params.MinRPM; rpm -= params.RPMStep {
 		roundTrip := params.RPMShiftTime(params.MaxRPM, rpm) * 2
 		if float64(roundTrip)*p.cfg.HistoryMargin <= float64(predicted) {
 			best = rpm // levels are fastest-first; keep descending
@@ -636,7 +637,7 @@ func (o *Oracle) IdleStarted(d *disk.Disk, now sim.Time) {
 	}
 	params := d.Params()
 	best := params.MaxRPM
-	for _, rpm := range params.Levels() {
+	for rpm := params.MaxRPM; rpm >= params.MinRPM; rpm -= params.RPMStep {
 		roundTrip := params.RPMShiftTime(params.MaxRPM, rpm) + params.RPMShiftTime(rpm, params.MaxRPM)
 		if float64(roundTrip)*o.margin <= float64(gap) {
 			best = rpm

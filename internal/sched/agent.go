@@ -49,6 +49,18 @@ type Agent struct {
 
 	issued, skippedFull, deferredWriter int64
 	fetchAborts                         int64
+
+	// fetchFree recycles completed prefetch records.
+	fetchFree []*prefetch
+}
+
+// prefetch is one issued fetch of an agent, completed by done. Records are
+// recycled through the agent's free list; doneFn is bound once, when the
+// record is first built.
+type prefetch struct {
+	a      *Agent
+	id     int // access id the fetch fills
+	doneFn func(now sim.Time, ok bool)
 }
 
 // NewAgent builds the agent for proc from its full scheduling table; the
@@ -146,29 +158,53 @@ func (a *Agent) Pump(now sim.Time) {
 			a.skippedFull++
 			return // buffer full: stop fetching until space frees
 		}
-		id := e.AccessID
-		if err := a.fetcher.Fetch(info.File, info.Offset, info.Length, func(now sim.Time, ok bool) {
-			if !ok {
-				// The prefetch failed after every bounded retry: release
-				// the reservation and wake any waiting reader as a miss —
-				// it falls back to an on-demand read. Producer local-time
-				// ordering is untouched: the entry simply behaves as if it
-				// was never prefetched.
-				a.fetchAborts++
-				a.buf.Abort(id)
-				return
-			}
-			if !a.buf.Commit(id) {
-				// The read bypassed us; space was already released by
-				// TryConsume. Nothing further to do.
-				_ = id
-			}
-		}); err != nil {
-			a.buf.Abort(id)
+		pf := a.newPrefetch(e.AccessID)
+		if err := a.fetcher.Fetch(info.File, info.Offset, info.Length, pf.doneFn); err != nil {
+			// A fetch that failed to start never completes: the record is
+			// left to the garbage collector, which is safe even if part of
+			// the read was dispatched.
+			a.buf.Abort(e.AccessID)
 			a.next++
 			continue
 		}
 		a.issued++
 		a.next++
 	}
+}
+
+// newPrefetch takes a prefetch record for access id from the free list.
+func (a *Agent) newPrefetch(id int) *prefetch {
+	var pf *prefetch
+	if k := len(a.fetchFree); k > 0 {
+		pf = a.fetchFree[k-1]
+		a.fetchFree = a.fetchFree[:k-1]
+	} else {
+		pf = &prefetch{a: a} //sddsvet:ignore hotalloc -- free-list warm-up: allocates only until the pool reaches steady state
+		pf.doneFn = pf.done
+	}
+	pf.id = id
+	return pf
+}
+
+// done completes a prefetch: the data is committed to the global buffer,
+// or on failure the reservation is released. The record returns to the
+// free list afterwards.
+//
+//sddsvet:hotpath
+func (pf *prefetch) done(now sim.Time, ok bool) {
+	a := pf.a
+	if !ok {
+		// The prefetch failed after every bounded retry: release the
+		// reservation and wake any waiting reader as a miss — it falls
+		// back to an on-demand read. Producer local-time ordering is
+		// untouched: the entry simply behaves as if it was never
+		// prefetched.
+		a.fetchAborts++
+		a.buf.Abort(pf.id)
+	} else {
+		// Commit reports false when the read bypassed us; space was
+		// already released by TryConsume, so there is nothing more to do.
+		a.buf.Commit(pf.id)
+	}
+	a.fetchFree = append(a.fetchFree, pf)
 }

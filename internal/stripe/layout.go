@@ -59,24 +59,25 @@ func (l Layout) Chunks(offset, length int64) []Chunk {
 	last := l.UnitOf(offset + length - 1)
 	out := make([]Chunk, 0, last-first+1)
 	for u := first; u <= last; u++ {
-		start := u * l.StripeSize
-		end := start + l.StripeSize
-		lo := offset
-		if start > lo {
-			lo = start
-		}
-		hi := offset + length
-		if end < hi {
-			hi = end
-		}
-		out = append(out, Chunk{
-			Node:   l.NodeOf(u),
-			Unit:   u,
-			Offset: lo - start,
-			Length: hi - lo,
-		})
+		out = append(out, l.ChunkAt(offset, length, u))
 	}
 	return out
+}
+
+// ChunkAt returns the chunk of the byte range [offset, offset+length) that
+// lies in stripe unit u, which must be in [UnitOf(offset),
+// UnitOf(offset+length-1)]. Iterating u over that range yields Chunks
+// without building the slice.
+func (l Layout) ChunkAt(offset, length, u int64) Chunk {
+	start := u * l.StripeSize
+	lo := max(offset, start)
+	hi := min(offset+length, start+l.StripeSize)
+	return Chunk{
+		Node:   l.NodeOf(u),
+		Unit:   u,
+		Offset: lo - start,
+		Length: hi - lo,
+	}
 }
 
 // SignatureFor returns the I/O-node signature of the byte range — the set D
