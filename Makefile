@@ -111,8 +111,9 @@ shard-smoke:
 # Perf trajectory: engine microbenchmarks (steady-state schedule+fire, the
 # container/heap baseline they are measured against), the compile layer
 # (core.Scheduler on a 500-access problem, polyhedral slack analysis), the
-# simulate-path layers (disk service, storage-cache LRU, an I/O-node read on
-# a miss and on a hit, a four-chunk middleware read), plus
+# simulate-path layers (disk service, storage-cache LRU and its key index,
+# an I/O-node read on a miss and on a hit, an I/O-node write-through write,
+# a four-chunk middleware read), plus
 # a fig12c-shape experiment, a full scheduled cluster run, and the
 # compile-cache θ-sweep pair (cold inline compiles vs a warmed artifact
 # cache), all with -benchmem, written as BENCH_sim.json (benchmark name → ns/op, B/op,
@@ -122,7 +123,7 @@ shard-smoke:
 BENCH_CMD = { $(GO) test -bench . -benchmem -run '^$$' ./internal/sim && \
 	  $(GO) test -bench '^(BenchmarkScheduleMedium|BenchmarkAnalyze)$$' -benchmem -run '^$$' \
 	    ./internal/core ./internal/polyhedral && \
-	  $(GO) test -bench '^(BenchmarkDiskService|BenchmarkLRUPutGet|BenchmarkNodeRead|BenchmarkMiddlewareRead)$$' \
+	  $(GO) test -bench '^(BenchmarkDiskService|BenchmarkLRUPutGet|BenchmarkIndex|BenchmarkNodeRead|BenchmarkNodeWrite|BenchmarkMiddlewareRead)$$' \
 	    -benchmem -run '^$$' ./internal/disk ./internal/cache ./internal/ionode ./internal/mpiio && \
 	  $(GO) test -bench '^(BenchmarkFig12c|BenchmarkEndToEndScheduledRun|BenchmarkThetaSweepCold|BenchmarkThetaSweepWarm)$$' \
 	    -benchmem -benchtime 1x -run '^$$' . ; }

@@ -46,8 +46,9 @@ var (
 //
 // The recency list is intrusive and slice-backed: entries live in one
 // slice linked by int32 indices, removed entries go on a free list, and
-// items maps each key to its entry index. Once the slice has grown to the
-// resident high-water mark, Put, Get and Remove allocate nothing.
+// items maps each key to its entry index. Once the slice and index have
+// grown to the resident high-water mark (or been sized by Reserve), Put,
+// Get and Remove allocate nothing.
 type LRU struct {
 	capacity int64
 	used     int64
@@ -55,7 +56,7 @@ type LRU struct {
 	head     int32 // most recently used entry, or nilEntry
 	tail     int32 // least recently used entry, or nilEntry
 	free     int32 // first free entry (linked through next), or nilEntry
-	items    map[Key]int32
+	items    Index[int32]
 	evictBuf []Key // Put's reused result buffer
 
 	hits, misses, evictions int64
@@ -81,7 +82,6 @@ func New(capacity int64) (*LRU, error) {
 		head:     nilEntry,
 		tail:     nilEntry,
 		free:     nilEntry,
-		items:    make(map[Key]int32),
 	}, nil
 }
 
@@ -101,22 +101,32 @@ func (c *LRU) Capacity() int64 { return c.capacity }
 func (c *LRU) Used() int64 { return c.used }
 
 // Len returns the number of resident blocks.
-func (c *LRU) Len() int { return len(c.items) }
+func (c *LRU) Len() int { return c.items.Len() }
 
 // Stats returns cumulative hit/miss/eviction counters.
 func (c *LRU) Stats() (hits, misses, evictions int64) { return c.hits, c.misses, c.evictions }
 
 // Contains reports residency without affecting recency or hit counters.
 func (c *LRU) Contains(k Key) bool {
-	_, ok := c.items[k]
+	_, ok := c.items.Get(k)
 	return ok
+}
+
+// Reserve sizes the entry slice and index for n resident blocks, so a
+// cache that is filled to n blocks never grows them. Put links a new entry
+// before evicting, so one more entry than n is reserved.
+func (c *LRU) Reserve(n int) {
+	if n++; cap(c.entries) < n {
+		c.entries = append(make([]lruEntry, 0, n), c.entries...)
+	}
+	c.items.Reserve(n)
 }
 
 // Get probes the cache, promoting and counting a hit when resident.
 //
 //sddsvet:hotpath
 func (c *LRU) Get(k Key) (size int64, ok bool) {
-	i, ok := c.items[k]
+	i, ok := c.items.Get(k)
 	if !ok {
 		c.misses++
 		return 0, false
@@ -136,12 +146,12 @@ func (c *LRU) Put(k Key, size int64) (evicted []Key, ok bool) {
 	if size <= 0 || size > c.capacity {
 		return nil, false
 	}
-	if i, exists := c.items[k]; exists {
+	if i, exists := c.items.Get(k); exists {
 		c.used += size - c.entries[i].size
 		c.entries[i].size = size
 		c.moveToFront(i)
 	} else {
-		c.items[k] = c.pushFront(k, size)
+		c.items.Set(k, c.pushFront(k, size))
 		c.used += size
 	}
 	evicted = c.evictBuf[:0]
@@ -168,7 +178,7 @@ func (c *LRU) Put(k Key, size int64) (evicted []Key, ok bool) {
 // Remove invalidates a block (the client buffer's hit-then-invalidate
 // semantics). It reports whether the block was resident.
 func (c *LRU) Remove(k Key) bool {
-	i, ok := c.items[k]
+	i, ok := c.items.Get(k)
 	if !ok {
 		return false
 	}
@@ -195,7 +205,7 @@ func (c *LRU) pushFront(k Key, size int64) int32 {
 func (c *LRU) removeEntry(i int32) {
 	c.unlink(i)
 	e := &c.entries[i]
-	delete(c.items, e.key)
+	c.items.Delete(e.key)
 	c.used -= e.size
 	e.next = c.free
 	c.free = i
@@ -239,7 +249,7 @@ func (c *LRU) unlink(i int32) {
 // Keys returns resident keys from most to least recently used (diagnostics
 // and tests).
 func (c *LRU) Keys() []Key {
-	out := make([]Key, 0, len(c.items))
+	out := make([]Key, 0, c.items.Len())
 	for i := c.head; i != nilEntry; i = c.entries[i].next {
 		out = append(out, c.entries[i].key)
 	}

@@ -15,7 +15,7 @@ type PALRU struct {
 	capacity int64
 	used     int64
 	order    *list.List
-	items    map[Key]*list.Element
+	items    Index[*list.Element]
 
 	// active reports whether the disk holding a block is awake (cheap to
 	// refetch from). Blocks of sleeping disks are protected.
@@ -45,7 +45,6 @@ func NewPALRU(capacity int64, active func(Key) bool, lookahead int) (*PALRU, err
 	return &PALRU{
 		capacity:  capacity,
 		order:     list.New(),
-		items:     make(map[Key]*list.Element),
 		active:    active,
 		lookahead: lookahead,
 	}, nil
@@ -58,7 +57,7 @@ func (c *PALRU) Capacity() int64 { return c.capacity }
 func (c *PALRU) Used() int64 { return c.used }
 
 // Len returns resident block count.
-func (c *PALRU) Len() int { return len(c.items) }
+func (c *PALRU) Len() int { return c.items.Len() }
 
 // Stats returns hit/miss/eviction counters.
 func (c *PALRU) Stats() (hits, misses, evictions int64) {
@@ -70,13 +69,13 @@ func (c *PALRU) Protections() int64 { return c.protections }
 
 // Contains reports residency without promotion.
 func (c *PALRU) Contains(k Key) bool {
-	_, ok := c.items[k]
+	_, ok := c.items.Get(k)
 	return ok
 }
 
 // Get probes and promotes.
 func (c *PALRU) Get(k Key) (int64, bool) {
-	el, ok := c.items[k]
+	el, ok := c.items.Get(k)
 	if !ok {
 		c.misses++
 		return 0, false
@@ -95,7 +94,7 @@ func (c *PALRU) Put(k Key, size int64) (evicted []Key, ok bool) {
 	if size <= 0 || size > c.capacity {
 		return nil, false
 	}
-	if el, exists := c.items[k]; exists {
+	if el, exists := c.items.Get(k); exists {
 		e, _ := el.Value.(*entry)
 		if e != nil {
 			c.used += size - e.size
@@ -103,7 +102,7 @@ func (c *PALRU) Put(k Key, size int64) (evicted []Key, ok bool) {
 		}
 		c.order.MoveToFront(el)
 	} else {
-		c.items[k] = c.order.PushFront(&entry{key: k, size: size})
+		c.items.Set(k, c.order.PushFront(&entry{key: k, size: size}))
 		c.used += size
 	}
 	for c.used > c.capacity {
@@ -116,7 +115,7 @@ func (c *PALRU) Put(k Key, size int64) (evicted []Key, ok bool) {
 			break
 		}
 		c.order.Remove(el)
-		delete(c.items, e.key)
+		c.items.Delete(e.key)
 		c.used -= e.size
 		c.evictions++
 		evicted = append(evicted, e.key)
@@ -151,13 +150,13 @@ func (c *PALRU) pickVictim(justInserted Key) *list.Element {
 
 // Remove invalidates a block.
 func (c *PALRU) Remove(k Key) bool {
-	el, ok := c.items[k]
+	el, ok := c.items.Get(k)
 	if !ok {
 		return false
 	}
 	e, _ := el.Value.(*entry)
 	c.order.Remove(el)
-	delete(c.items, k)
+	c.items.Delete(k)
 	if e != nil {
 		c.used -= e.size
 	}

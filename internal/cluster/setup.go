@@ -40,7 +40,7 @@ func NewSetup(prog *loop.Program, procs int) (*Setup, error) {
 		return nil, err
 	}
 	s := &Setup{prog: prog, procs: procs, slots: prog.Slots(procs)}
-	s.buildIOIndex(prog.Instances(procs))
+	s.ioFlat, s.ioOff = prog.ProcSlotInstances(procs)
 	s.buildSlotMeta()
 	return s, nil
 }
@@ -50,27 +50,6 @@ func (s *Setup) Program() *loop.Program { return s.prog }
 
 // Procs returns the process count the setup was built for.
 func (s *Setup) Procs() int { return s.procs }
-
-// buildIOIndex builds the flat instance index with a counting sort keyed
-// by (proc, slot); Instances' statement order within a (proc, slot) pair
-// is preserved.
-func (s *Setup) buildIOIndex(insts []loop.IOInstance) {
-	cells := s.procs * s.slots
-	s.ioOff = make([]int32, cells+1)
-	for _, in := range insts {
-		s.ioOff[in.Proc*s.slots+in.Slot+1]++
-	}
-	for k := 0; k < cells; k++ {
-		s.ioOff[k+1] += s.ioOff[k]
-	}
-	s.ioFlat = make([]loop.IOInstance, len(insts))
-	cur := make([]int32, cells)
-	for _, in := range insts {
-		k := in.Proc*s.slots + in.Slot
-		s.ioFlat[s.ioOff[k]+cur[k]] = in
-		cur[k]++
-	}
-}
 
 func (s *Setup) buildSlotMeta() {
 	s.slotNest = make([]int, s.slots)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"sdds/internal/compilecache"
 	"sdds/internal/compiler"
 	"sdds/internal/fault"
+	"sdds/internal/loop"
 	"sdds/internal/power"
 	"sdds/internal/workloads"
 )
@@ -114,5 +116,48 @@ func TestCompileKeyExcludesRuntimeKnobs(t *testing.T) {
 	c.Compiler.Theta = 16
 	if k, _ := compiler.KeyFor(prog, c.normalized().Compiler); k == baseKey {
 		t.Error("theta change did not move the compile key")
+	}
+}
+
+// countingSortIndex is the former Setup index construction: a counting
+// sort of Instances keyed by (proc, slot), which keeps Instances' statement
+// order within a pair.
+func countingSortIndex(insts []loop.IOInstance, procs, slots int) ([]loop.IOInstance, []int32) {
+	cells := procs * slots
+	off := make([]int32, cells+1)
+	for _, in := range insts {
+		off[in.Proc*slots+in.Slot+1]++
+	}
+	for k := 0; k < cells; k++ {
+		off[k+1] += off[k]
+	}
+	flat := make([]loop.IOInstance, len(insts))
+	cur := make([]int32, cells)
+	for _, in := range insts {
+		k := in.Proc*slots + in.Slot
+		flat[off[k]+cur[k]] = in
+		cur[k]++
+	}
+	return flat, off
+}
+
+// The one-pass (proc, slot) enumeration must build exactly the index the
+// counting sort of Instances built, for every workload and process count.
+func TestSetupIndexMatchesCountingSort(t *testing.T) {
+	for _, spec := range workloads.All() {
+		prog := spec.Build(goldenScale)
+		for _, procs := range []int{1, 7, 32} {
+			s, err := NewSetup(prog, procs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flat, off := countingSortIndex(prog.Instances(procs), procs, s.slots)
+			if !slices.Equal(s.ioOff, off) {
+				t.Errorf("%s procs=%d: offsets differ from the counting sort", spec.Name, procs)
+			}
+			if !slices.Equal(s.ioFlat, flat) {
+				t.Errorf("%s procs=%d: instances differ from the counting sort", spec.Name, procs)
+			}
+		}
 	}
 }

@@ -204,8 +204,10 @@ func MustNew(eng *sim.Engine, id int, p Params) *Disk {
 	return d
 }
 
-// Params returns the disk's configuration.
-func (d *Disk) Params() Params { return d.params }
+// Params returns the disk's configuration. It is the disk's own copy,
+// returned by pointer so the per-request callers (the power policies) read
+// fields without copying the struct: callers must not modify it.
+func (d *Disk) Params() *Params { return &d.params }
 
 // State returns the current power/activity state.
 func (d *Disk) State() State { return d.state }

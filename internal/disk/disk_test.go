@@ -20,7 +20,8 @@ func testDisk(t *testing.T) (*sim.Engine, *Disk) {
 }
 
 func TestParamsValidate(t *testing.T) {
-	if err := DefaultParams().Validate(); err != nil {
+	def := DefaultParams()
+	if err := def.Validate(); err != nil {
 		t.Fatalf("default params invalid: %v", err)
 	}
 	bad := []func(*Params){
@@ -689,7 +690,8 @@ func TestSqrtIntMatchesTwentySteps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive over every cylinder distance")
 	}
-	maxDist := DefaultParams().Cylinders()
+	p := DefaultParams()
+	maxDist := p.Cylinders()
 	for v := int64(-1); v <= maxDist; v++ {
 		if got, want := sqrtInt(v), sqrtInt20(v); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("sqrtInt(%d) = %v, twenty steps give %v", v, got, want)

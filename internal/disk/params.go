@@ -12,6 +12,7 @@ package disk
 
 import (
 	"fmt"
+	"math"
 
 	"sdds/internal/sim"
 )
@@ -76,7 +77,7 @@ func DefaultParams() Params {
 }
 
 // Validate reports the first configuration problem, or nil.
-func (p Params) Validate() error {
+func (p *Params) Validate() error {
 	switch {
 	case p.CapacityGB <= 0:
 		return fmt.Errorf("disk: capacity %.1f GB must be positive", p.CapacityGB)
@@ -107,7 +108,7 @@ func (p Params) Validate() error {
 }
 
 // Levels returns the available rotational speeds, fastest first.
-func (p Params) Levels() []int {
+func (p *Params) Levels() []int {
 	n := (p.MaxRPM-p.MinRPM)/p.RPMStep + 1
 	levels := make([]int, 0, n)
 	for rpm := p.MaxRPM; rpm >= p.MinRPM; rpm -= p.RPMStep {
@@ -117,12 +118,12 @@ func (p Params) Levels() []int {
 }
 
 // TotalSectors returns the number of addressable sectors.
-func (p Params) TotalSectors() int64 {
+func (p *Params) TotalSectors() int64 {
 	return int64(p.CapacityGB * 1e9 / float64(p.SectorSize))
 }
 
 // Cylinders returns the number of cylinders implied by the geometry.
-func (p Params) Cylinders() int64 {
+func (p *Params) Cylinders() int64 {
 	c := p.TotalSectors() / int64(p.SectorsPerCylinder)
 	if c < 1 {
 		return 1
@@ -131,30 +132,30 @@ func (p Params) Cylinders() int64 {
 }
 
 // scale returns the quadratic power-scaling factor (rpm/max)² from Eq. 1.
-func (p Params) scale(rpm int) float64 {
+func (p *Params) scale(rpm int) float64 {
 	r := float64(rpm) / float64(p.MaxRPM)
 	return r * r
 }
 
 // IdlePowerAt returns idle power at the given rotational speed.
-func (p Params) IdlePowerAt(rpm int) float64 { return p.IdlePowerW * p.scale(rpm) }
+func (p *Params) IdlePowerAt(rpm int) float64 { return p.IdlePowerW * p.scale(rpm) }
 
 // ActivePowerAt returns read/write power at the given rotational speed.
-func (p Params) ActivePowerAt(rpm int) float64 { return p.ActivePowerW * p.scale(rpm) }
+func (p *Params) ActivePowerAt(rpm int) float64 { return p.ActivePowerW * p.scale(rpm) }
 
 // SeekPowerAt returns seek power at the given rotational speed.
-func (p Params) SeekPowerAt(rpm int) float64 { return p.SeekPowerW * p.scale(rpm) }
+func (p *Params) SeekPowerAt(rpm int) float64 { return p.SeekPowerW * p.scale(rpm) }
 
 // TransferRateAt returns the media rate in bytes/µs at the given speed. The
 // media rate scales linearly with RPM (fixed bit density, slower linear
 // velocity).
-func (p Params) TransferRateAt(rpm int) float64 {
+func (p *Params) TransferRateAt(rpm int) float64 {
 	bytesPerSec := p.MaxTransferMBps * 1e6 * float64(rpm) / float64(p.MaxRPM)
 	return bytesPerSec / 1e6 // bytes per microsecond
 }
 
 // FullRotation returns the duration of one platter revolution at rpm.
-func (p Params) FullRotation(rpm int) sim.Duration {
+func (p *Params) FullRotation(rpm int) sim.Duration {
 	if rpm <= 0 {
 		return 0
 	}
@@ -162,7 +163,7 @@ func (p Params) FullRotation(rpm int) sim.Duration {
 }
 
 // SeekTime returns the head-movement time for a seek across dist cylinders.
-func (p Params) SeekTime(dist int64) sim.Duration {
+func (p *Params) SeekTime(dist int64) sim.Duration {
 	if dist <= 0 {
 		return 0
 	}
@@ -178,7 +179,7 @@ const UpShiftFactor = 4
 // RPMShiftTime returns the time to move between two speeds (one step at a
 // time, no service in between). Upward shifts cost UpShiftFactor× more per
 // step than downward ones.
-func (p Params) RPMShiftTime(from, to int) sim.Duration {
+func (p *Params) RPMShiftTime(from, to int) sim.Duration {
 	d := from - to
 	up := false
 	if d < 0 {
@@ -194,7 +195,7 @@ func (p Params) RPMShiftTime(from, to int) sim.Duration {
 
 // ClampRPM snaps an arbitrary speed to the nearest valid level in
 // [MinRPM, MaxRPM].
-func (p Params) ClampRPM(rpm int) int {
+func (p *Params) ClampRPM(rpm int) int {
 	if rpm >= p.MaxRPM {
 		return p.MaxRPM
 	}
@@ -206,21 +207,17 @@ func (p Params) ClampRPM(rpm int) int {
 	return p.MinRPM + k*p.RPMStep
 }
 
-// sqrtInt is an integer-domain Newton square root returning float64; it
-// avoids importing math for one call site and is exact enough for seek
-// curves.
+// sqrtInt returns the square root of a seek distance. It seeds the Newton
+// iteration with math.Sqrt, which already lands on or next to the fixed
+// point, and keeps the stopping rule of the x/2-seeded iteration the seek
+// curves were recorded with (at most 20 steps, stop at the first step that
+// returns g unchanged), so the result is bit-identical to it.
 func sqrtInt(v int64) float64 {
 	if v <= 0 {
 		return 0
 	}
 	x := float64(v)
-	// Newton iterations from a decent initial guess.
-	g := x / 2
-	if g < 1 {
-		g = 1
-	}
-	// At most 20 steps; stop early at the fixed point, where every further
-	// step would return g unchanged, so the result is bit-identical.
+	g := math.Sqrt(x) // ≥ 1, so the x/2 seed's clamp to 1 is not needed
 	for i := 0; i < 20; i++ {
 		next := (g + x/g) / 2
 		if next == g {

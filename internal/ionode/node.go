@@ -114,7 +114,7 @@ type Node struct {
 	// Stride prefetcher state (per file).
 	lastUnit  map[int]int64
 	lastDelta map[int]int64
-	inflight  map[cache.Key]*fetch // miss coalescing
+	inflight  cache.Index[*fetch] // miss coalescing
 
 	// totalSectors is DiskParams.TotalSectors(), computed once.
 	totalSectors int64
@@ -159,7 +159,6 @@ func New(eng *sim.Engine, id int, cfg Config) (*Node, error) {
 		cfg:          cfg,
 		lastUnit:     make(map[int]int64),
 		lastDelta:    make(map[int]int64),
-		inflight:     make(map[cache.Key]*fetch),
 		dirty:        make(map[cache.Key]int64),
 		totalSectors: cfg.DiskParams.TotalSectors(),
 		pr:           eng.Probe(),
@@ -182,7 +181,11 @@ func New(eng *sim.Engine, id int, cfg Config) (*Node, error) {
 		}
 		n.cache = pal
 	} else {
-		n.cache = cache.MustNew(cfg.CacheBytes)
+		lru := cache.MustNew(cfg.CacheBytes)
+		// Every cached block is one whole unit, so the cache holds at most
+		// CacheBytes/UnitBytes of them: size it once instead of doubling.
+		lru.Reserve(int(cfg.CacheBytes / cfg.UnitBytes))
+		n.cache = lru
 	}
 	return n, nil
 }
@@ -286,16 +289,16 @@ func (n *Node) readNow(file int, unit, offset, length int64, done func(now sim.T
 	}
 	n.stats.CacheMisses++
 	n.pr.Emit(probe.KindCacheMiss, int32(n.ID), int64(n.eng.Now()), unit)
-	if f, ok := n.inflight[key]; ok {
+	if f, ok := n.inflight.Get(key); ok {
 		// Coalesce with an in-flight fetch of the same unit.
 		f.waiters = append(f.waiters, done)
 		return nil
 	}
 	f := n.newFetch(key)
 	f.waiters = append(f.waiters, done)
-	n.inflight[key] = f
+	n.inflight.Set(key, f)
 	if err := n.fetchUnit(unit, f.doneFn); err != nil {
-		delete(n.inflight, key)
+		n.inflight.Delete(key)
 		return err
 	}
 	n.prefetch(file, unit)
@@ -333,7 +336,7 @@ func (n *Node) newFetch(key cache.Key) *fetch {
 //sddsvet:hotpath
 func (f *fetch) done(now sim.Time, ok bool) {
 	n := f.n
-	delete(n.inflight, f.key)
+	n.inflight.Delete(f.key)
 	if ok {
 		n.cache.Put(f.key, n.cfg.UnitBytes)
 	} else {
@@ -602,15 +605,15 @@ func (n *Node) prefetch(file int, unit int64) {
 				if n.cache.Contains(key) {
 					continue
 				}
-				if _, busy := n.inflight[key]; busy {
+				if _, busy := n.inflight.Get(key); busy {
 					continue
 				}
 				f := n.newFetch(key)
-				n.inflight[key] = f
+				n.inflight.Set(key, f)
 				n.stats.PrefetchIssued++
 				n.pr.Emit(probe.KindPrefetch, int32(n.ID), int64(n.eng.Now()), next)
 				if err := n.fetchUnit(next, f.doneFn); err != nil {
-					delete(n.inflight, key)
+					n.inflight.Delete(key)
 					break
 				}
 			}

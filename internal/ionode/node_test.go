@@ -449,6 +449,20 @@ func BenchmarkNodeRead(b *testing.B) {
 	})
 }
 
+// BenchmarkNodeWrite is a write-through write of a fresh unit: the cache
+// insertion evicts, and the write goes to both mirror members.
+func BenchmarkNodeWrite(b *testing.B) {
+	op := steadyNodeOp(b, true)
+	for i := 0; i < 200; i++ {
+		op()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
 // TestFetchRecycledAfterWaiters checks that a completed fetch record is not
 // reused while its waiters are still running: the first waiter of a
 // coalesced miss issues two reads of another unit, which take a record

@@ -256,34 +256,61 @@ type IOInstance struct {
 
 // Instances enumerates every I/O instance of the program for the given
 // process count, in (nest, slot, proc, stmt) order — the canonical total
-// enumeration shared by the profiler and the executor.
+// enumeration shared by the profiler and the compiler's slack analysis.
 func (p *Program) Instances(procs int) []IOInstance {
 	var out []IOInstance
 	for ni, n := range p.Nests {
 		base := p.NestSlotOffset(procs, ni)
 		chunk := n.chunk(procs)
 		for k := 0; k < chunk; k++ {
-			slot := base + k
 			for proc := 0; proc < procs; proc++ {
-				iter, ok := p.IterOf(procs, ni, proc, k)
-				if !ok {
-					continue
-				}
-				for si, s := range n.Body {
-					if s.Kind == StmtCompute || !s.runsAt(iter) {
-						continue
-					}
-					off, length := s.RegionAt(iter, proc)
-					if length <= 0 {
-						continue
-					}
-					out = append(out, IOInstance{
-						Proc: proc, Slot: slot, Nest: ni, Stmt: si,
-						Kind: s.Kind, File: s.File, Offset: off, Length: length,
-					})
+				if iter, ok := p.IterOf(procs, ni, proc, k); ok {
+					out = n.appendIO(out, ni, proc, base+k, iter)
 				}
 			}
 		}
+	}
+	return out
+}
+
+// ProcSlotInstances enumerates the same instances as Instances, grouped
+// by (proc, slot) for the executor, in one pass: the instances proc
+// issues at slot are flat[off[proc*slots+slot]:off[proc*slots+slot+1]]
+// in statement order, where slots is Slots(procs).
+func (p *Program) ProcSlotInstances(procs int) (flat []IOInstance, off []int32) {
+	slots := p.Slots(procs)
+	off = make([]int32, procs*slots+1)
+	for proc := 0; proc < procs; proc++ {
+		slot := 0
+		for ni, n := range p.Nests {
+			chunk := n.chunk(procs)
+			for k := 0; k < chunk; k, slot = k+1, slot+1 {
+				off[proc*slots+slot] = int32(len(flat))
+				if iter, ok := p.IterOf(procs, ni, proc, k); ok {
+					flat = n.appendIO(flat, ni, proc, slot, iter)
+				}
+			}
+		}
+	}
+	off[procs*slots] = int32(len(flat))
+	return flat, off
+}
+
+// appendIO appends the I/O instances nest ni's body issues when proc runs
+// global iteration iter at the given slot, in statement order.
+func (n Nest) appendIO(out []IOInstance, ni, proc, slot, iter int) []IOInstance {
+	for si, s := range n.Body {
+		if s.Kind == StmtCompute || !s.runsAt(iter) {
+			continue
+		}
+		off, length := s.RegionAt(iter, proc)
+		if length <= 0 {
+			continue
+		}
+		out = append(out, IOInstance{
+			Proc: proc, Slot: slot, Nest: ni, Stmt: si,
+			Kind: s.Kind, File: s.File, Offset: off, Length: length,
+		})
 	}
 	return out
 }

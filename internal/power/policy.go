@@ -188,7 +188,7 @@ func MustNew(eng *sim.Engine, cfg Config) Policy {
 // BreakEvenIdle returns the idle duration at which spinning down exactly
 // pays for itself energetically: spin-down + standby + spin-up consume the
 // same energy as staying idle at full speed.
-func BreakEvenIdle(p disk.Params) sim.Duration {
+func BreakEvenIdle(p *disk.Params) sim.Duration {
 	transJ := p.SpinDownPowerW*p.SpinDownTime.Seconds() + p.SpinUpPowerW*p.SpinUpTime.Seconds()
 	standbyDuringTrans := p.StandbyPowerW * (p.SpinDownTime + p.SpinUpTime).Seconds()
 	num := transJ - standbyDuringTrans
@@ -407,7 +407,7 @@ func (p *historyPolicy) Attach(d *disk.Disk) {
 // scaled by the safety margin, fits inside the predicted idle period: the
 // speed that "saves maximum energy while keeping the performance impact
 // bounded".
-func (p *historyPolicy) chooseRPM(params disk.Params, predicted sim.Duration) int {
+func (p *historyPolicy) chooseRPM(params *disk.Params, predicted sim.Duration) int {
 	best := params.MaxRPM
 	// Step through params.Levels() fastest-first without building it.
 	for rpm := params.MaxRPM; rpm >= params.MinRPM; rpm -= params.RPMStep {

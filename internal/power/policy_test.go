@@ -85,7 +85,7 @@ func TestManagedKindsExcludesDefault(t *testing.T) {
 
 func TestBreakEvenIdle(t *testing.T) {
 	p := disk.DefaultParams()
-	be := BreakEvenIdle(p)
+	be := BreakEvenIdle(&p)
 	// Hand computation with Table II numbers:
 	// (14·10 + 44.8·16 − 7.2·26) / (17.1 − 7.2) ≈ 67.6 s.
 	want := (14.0*10 + 44.8*16 - 7.2*26) / (17.1 - 7.2)
@@ -94,7 +94,7 @@ func TestBreakEvenIdle(t *testing.T) {
 	}
 	// Degenerate: standby draws as much as idle → never worth it.
 	p.StandbyPowerW = p.IdlePowerW
-	if BreakEvenIdle(p) < sim.Duration(1)<<61 {
+	if BreakEvenIdle(&p) < sim.Duration(1)<<61 {
 		t.Fatal("break-even with no standby saving should be effectively infinite")
 	}
 }
@@ -234,17 +234,17 @@ func TestHistoryChooseRPMMonotone(t *testing.T) {
 	params := disk.DefaultParams()
 	prev := params.MaxRPM + 1
 	for _, idleSec := range []float64{0.1, 1, 5, 20, 60, 300} {
-		rpm := p.chooseRPM(params, sim.Duration(idleSec*float64(sim.Second)))
+		rpm := p.chooseRPM(&params, sim.Duration(idleSec*float64(sim.Second)))
 		if rpm > prev {
 			t.Fatalf("chooseRPM not monotone: idle %.1fs → %d RPM after %d", idleSec, rpm, prev)
 		}
 		prev = rpm
 	}
 	// Tiny idleness → full speed; huge idleness → minimum speed.
-	if got := p.chooseRPM(params, sim.Millisecond); got != params.MaxRPM {
+	if got := p.chooseRPM(&params, sim.Millisecond); got != params.MaxRPM {
 		t.Fatalf("chooseRPM(1ms) = %d, want max", got)
 	}
-	if got := p.chooseRPM(params, 10*sim.Minute); got != params.MinRPM {
+	if got := p.chooseRPM(&params, 10*sim.Minute); got != params.MinRPM {
 		t.Fatalf("chooseRPM(10min) = %d, want min", got)
 	}
 }

@@ -354,19 +354,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// handleGetRun resolves GET /v1/runs/{key}: 202 while the key is being
-// simulated, 200 with the stored result once resolved (this process or
-// any earlier one), 404 for an unknown key.
+// handleGetRun resolves GET /v1/runs/{key}: 200 with the stored result
+// once resolved (this process or any earlier one, even while another
+// submission of the key is still in flight), 202 while the key is being
+// simulated, 404 for an unknown key.
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	s.mu.Lock()
 	req, known := s.seen[key]
 	running := s.inflight[key] > 0
 	s.mu.Unlock()
-	if running {
-		writeJSON(w, http.StatusAccepted, RunResponse{Key: key, Request: req})
-		return
-	}
 	if known {
 		if res, rerr, ok := s.sess.Cached(req); ok {
 			resp := RunResponse{Key: key, Request: req, Cached: true}
@@ -379,6 +376,10 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, resp)
 			return
 		}
+	}
+	if running {
+		writeJSON(w, http.StatusAccepted, RunResponse{Key: key, Request: req})
+		return
 	}
 	// Not resolved in this process: the persistent store still answers for
 	// runs recorded by earlier lifetimes.
