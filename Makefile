@@ -5,7 +5,7 @@ GO ?= go
 # sandboxes, air-gapped machines) skip it with a notice instead of failing.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci lint vet sddsvet staticcheck build test race smoke trace-smoke fault-smoke service-smoke diag-smoke shard-smoke bench bench-check
+.PHONY: ci lint vet sddsvet staticcheck build test race smoke trace-smoke fault-smoke service-smoke diag-smoke shard-smoke bench bench-check loc
 
 # CI runs the lint tier strictly: silently skipping a linter there would
 # let findings land unreviewed.
@@ -115,8 +115,8 @@ shard-smoke:
 # an I/O-node read on a miss and on a hit, an I/O-node write-through write,
 # a four-chunk middleware read), plus
 # a fig12c-shape experiment, a full scheduled cluster run, and the
-# compile-cache θ-sweep pair (cold inline compiles vs a warmed artifact
-# cache), all with -benchmem, written as BENCH_sim.json (benchmark name → ns/op, B/op,
+# compile-cache θ-sweep pair (cold inline compiles vs a warmed compile
+# memo), all with -benchmem, written as BENCH_sim.json (benchmark name → ns/op, B/op,
 # allocs/op, custom virtual_* metrics) so future PRs can diff ns/event and
 # allocs/event. BENCH_CMD is shared with bench-check so the recorded and
 # checked runs cannot drift.
@@ -139,3 +139,9 @@ bench:
 # perf changes.
 bench-check:
 	$(BENCH_CMD) | $(GO) run ./cmd/benchcheck -baseline BENCH_sim.json
+
+# Non-test Go line count of the root module (perfbench, testdata and the
+# benchmark build tree excluded): the size figure simplicity changes are
+# measured against.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path '*/testdata/*' ! -path './.bench_build/*' | xargs cat | wc -l

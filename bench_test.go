@@ -227,7 +227,7 @@ func BenchmarkSessionWorkers4(b *testing.B) { benchmarkSessionWorkers(b, 4) }
 const thetaSweepScale = 0.15
 
 // thetaSweepRequests is a θ×policy sweep over hf: four θ values sharing
-// their compile artifact across two power policies each — eight scheduled
+// their compile across two power policies each — eight scheduled
 // runs, four distinct compile keys.
 func thetaSweepRequests() []harness.Request {
 	var reqs []harness.Request

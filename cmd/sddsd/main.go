@@ -47,7 +47,6 @@ func runCtx(ctx context.Context, args []string) error {
 		drain    = fs.Duration("drain", 30*time.Second, "graceful-shutdown budget for inflight runs")
 		tail     = fs.Int("tail", 8, "recent store entries reported by /v1/doctor")
 		addrFile = fs.String("addr-file", "", "write the resolved listen address to this file (for scripts using port 0)")
-		artifact = fs.String("artifacts", "", "persistent compile-artifact store (JSONL; default <store>.artifacts, \"off\" disables)")
 		leaseTTL = fs.Duration("lease-ttl", 15*time.Second, "shard lease lifetime; a worker silent this long forfeits its shard")
 		shardSz  = fs.Int("shard-size", 4, "default requests per shard for sharded sweeps")
 		retries  = fs.Int("shard-retries", 5, "lease grants per shard before it is poisoned")
@@ -78,7 +77,6 @@ func runCtx(ctx context.Context, args []string) error {
 		RunTimeout:       *timeout,
 		DrainTimeout:     *drain,
 		Tail:             *tail,
-		ArtifactPath:     *artifact,
 		CaptureDir:       df.CaptureDir,
 		SlowMultiplier:   watchdog,
 		Log:              log,

@@ -85,15 +85,6 @@ func runCtx(ctx context.Context, args []string) error {
 	if *trace != "" || recorder != nil {
 		cfg.Probe = probe.NewProbe(*traceRing)
 	}
-	cache, _, err := cliutil.OpenCompileCache(rf.CompileCache)
-	if err != nil {
-		return err
-	}
-	if cache != nil {
-		cfg.CompileCache = cache
-		defer cache.Close()
-	}
-
 	if rf.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, rf.Timeout)

@@ -142,9 +142,6 @@ func runCtx(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if cache != nil {
-		defer cache.Close()
-	}
 	sess := harness.NewSession(harness.SessionOptions{
 		Workers:             sf.Workers,
 		Progress:            combineProgress(metricsPrinter(*showMetric), progressLine(*progress, resolvedWorkers)),
@@ -192,8 +189,8 @@ func runCtx(ctx context.Context, args []string) error {
 		fmt.Fprintf(os.Stderr, "%d distinct configurations simulated, %d reads served from cache, %d workers\n",
 			simulated, hits, sess.Workers())
 		if cc := sess.CompileCacheStats(); !cacheOff {
-			fmt.Fprintf(os.Stderr, "compile cache: %d compiled, %d memo hits, %d restored (%d artifact bytes); %d setup groups shared\n",
-				cc.Misses, cc.Hits, cc.Restores, cc.Bytes, sess.SetupGroups())
+			fmt.Fprintf(os.Stderr, "compile cache: %d compiled, %d memo hits; %d setup groups shared\n",
+				cc.Misses, cc.Hits, sess.SetupGroups())
 		}
 	}
 	if jrn != nil {
@@ -338,7 +335,7 @@ func progressLine(enabled bool, workers int) harness.ProgressFunc {
 		default:
 			simTime += p.Elapsed
 			simRuns++
-			if p.CompileProv == "memo" || p.CompileProv == "restored" {
+			if p.CompileProv == "memo" {
 				ccReuse++
 			}
 		}

@@ -44,7 +44,7 @@ func runCtx(ctx context.Context, args []string) error {
 		workers     = fs.Int("workers", 0, "concurrent cluster simulations (0 = GOMAXPROCS)")
 		timeout     = fs.Duration("timeout", 0, "per-run wall-clock deadline (0 = none)")
 		journalDir  = fs.String("journal-dir", "", "directory for per-shard crash journals; a restarted worker resumes a re-leased shard from them")
-		compile     = fs.String("compile-cache", "on", "compile-artifact cache: on, off, or a persistent JSONL store path")
+		compile     = fs.String("compile-cache", "on", "compile memo: on, or off to compile every scheduled run inline")
 		idleExit    = fs.Bool("idle-exit", true, "exit when the coordinator reports the sweep done (false: keep polling for the next sweep)")
 	)
 	var df cliutil.DiagFlags
@@ -73,9 +73,6 @@ func runCtx(ctx context.Context, args []string) error {
 	cache, disabled, err := cliutil.OpenCompileCache(*compile)
 	if err != nil {
 		return err
-	}
-	if cache != nil && cache.Store() != nil {
-		defer cache.Close()
 	}
 	rec, err := df.NewRecorder(log)
 	if err != nil {

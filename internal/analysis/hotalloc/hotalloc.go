@@ -15,9 +15,9 @@
 //     new(T), &T{...}, make, and slice/map composite literals.
 //
 //   - inside the same hotpath functions, any call into encoding/json is
-//     reported: (de)serialization belongs to the compile-artifact restore
-//     and store layers, which run once per process — a Marshal on the
-//     per-event path allocates and reflects per call.
+//     reported: (de)serialization belongs to the journal restore and
+//     store layers, which run once per run — a Marshal on the per-event
+//     path allocates and reflects per call.
 package hotalloc
 
 import (

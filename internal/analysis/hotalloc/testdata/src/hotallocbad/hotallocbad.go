@@ -131,8 +131,8 @@ func (e *emitter) emitBoxed(now sim.Time) {
 }
 
 // --- (de)serialization on the hot path ---------------------------------
-// The compile-artifact cache (de)serializes compiler results through
-// encoding/json — once per process, in the restore/store layer. Those
+// The result journal (de)serializes run records through encoding/json —
+// once per run, in the restore/store layer. Those
 // calls must never migrate into a //sddsvet:hotpath function: every
 // Marshal reflects over the value and allocates the output buffer.
 
@@ -150,7 +150,7 @@ func (e *emitter) hotSerialize(entry *cacheEntry) {
 }
 
 // coldSerialize is the restore/store layer's shape: unannotated, runs once
-// per process, allowed.
+// per run, allowed.
 func coldSerialize(entry *cacheEntry) error {
 	blob, err := json.Marshal(entry.key)
 	if err != nil {

@@ -25,9 +25,9 @@ func TestSimdetFaultFixture(t *testing.T) {
 }
 
 // TestSimdetRestoreFixture proves the analyzer rejects map-iteration-order
-// dependence in artifact-restore-shaped code (ranging a deserialized points
-// map while building the schedule) while accepting the real restore's
-// slice-ordered and collect-then-sort shapes.
+// dependence in schedule-rebuild-shaped code (ranging a deserialized points
+// map while building the schedule) while accepting slice-ordered and
+// collect-then-sort shapes.
 func TestSimdetRestoreFixture(t *testing.T) {
 	defer overridePackages(t, regexp.MustCompile(`.`))()
 	analysistest.Run(t, "testdata/src/restorebad", simdet.Analyzer)
@@ -46,7 +46,7 @@ func TestSimdetTransitiveCrossPackage(t *testing.T) {
 
 // TestSimdetCoversFaultPackage pins the default scope to include the
 // fault-injection package and the compile-cache layer: per-site fault
-// streams and restored compile artifacts both feed golden-compared results
+// streams and memoized compile results both feed golden-compared results
 // exactly like the device models do.
 func TestSimdetCoversFaultPackage(t *testing.T) {
 	for _, pkg := range []string{

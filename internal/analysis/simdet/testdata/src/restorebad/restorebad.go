@@ -1,11 +1,11 @@
-// Package restorebad is the simdet fixture for artifact-restore-shaped
-// code. A compile artifact deserialized from disk must rebuild the exact
-// schedule the original compile produced: if the restore path keeps its
-// points in a map and ranges it while appending assignments (or while
-// picking each slot's winner), Go's randomized iteration order leaks into
-// the rebuilt tables and the restored run is no longer bit-identical to
-// the compiled one. The real restore keeps points in a slice; the allowed
-// shapes below mirror it.
+// Package restorebad is the simdet fixture for schedule-rebuild-shaped
+// code. Code that rebuilds a schedule from deserialized scheduling points
+// must reproduce the exact schedule the original compile produced: if it
+// keeps its points in a map and ranges it while appending assignments (or
+// while picking each slot's winner), Go's randomized iteration order leaks
+// into the rebuilt tables and the rebuilt run is no longer bit-identical
+// to the compiled one. The allowed shapes below keep points in a slice or
+// sort the keys first.
 package restorebad
 
 import "sort"

@@ -23,9 +23,8 @@ import (
 )
 
 // OpenCompileCache resolves the shared -compile-cache flag value: "" or
-// "on" builds an in-process cache, "off" disables caching entirely
-// (disabled=true, the inline-compile baseline), and any other value is
-// a path to a persistent artifact store shared across invocations.
+// "on" builds an in-process compile memo, and "off" disables caching
+// entirely (disabled=true, the inline-compile baseline).
 func OpenCompileCache(mode string) (cache *compilecache.Cache, disabled bool, err error) {
 	switch mode {
 	case "", "on":
@@ -33,11 +32,7 @@ func OpenCompileCache(mode string) (cache *compilecache.Cache, disabled bool, er
 	case "off":
 		return nil, true, nil
 	default:
-		c, err := compilecache.Open(mode)
-		if err != nil {
-			return nil, false, err
-		}
-		return c, false, nil
+		return nil, false, fmt.Errorf("-compile-cache %q: want on or off", mode)
 	}
 }
 
@@ -55,9 +50,6 @@ type RunFlags struct {
 	Seed       int64
 	Faults     string
 	Timeout    time.Duration
-	// CompileCache is the -compile-cache mode: "on" (in-process), "off"
-	// (inline compile), or a persistent artifact-store path.
-	CompileCache string
 }
 
 // Register installs the run flags on fs with the Table II defaults.
@@ -74,7 +66,6 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.Int64Var(&f.Seed, "seed", 1, "simulation seed")
 	fs.StringVar(&f.Faults, "faults", "", "deterministic fault-injection spec, e.g. 'read=0.01,spinup-fail=0.2,seed=7' (empty = no injection)")
 	fs.DurationVar(&f.Timeout, "timeout", 0, "wall-clock deadline for the run (0 = none)")
-	fs.StringVar(&f.CompileCache, "compile-cache", "on", "compile-artifact cache: on, off, or a persistent JSONL store path")
 }
 
 // Request translates the parsed flags into the canonical normalized
@@ -115,8 +106,8 @@ type SweepFlags struct {
 	Timeout time.Duration
 	Journal string
 	Resume  bool
-	// CompileCache is the -compile-cache mode: "on" (in-process), "off"
-	// (inline compile), or a persistent artifact-store path.
+	// CompileCache is the -compile-cache mode: "on" (in-process memo) or
+	// "off" (inline compile).
 	CompileCache string
 }
 
@@ -130,7 +121,7 @@ func (f *SweepFlags) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&f.Timeout, "timeout", 0, "per-run wall-clock deadline (0 = none); a run exceeding it fails with a deadline error")
 	fs.StringVar(&f.Journal, "journal", "", "append every completed run to this crash-safe JSONL journal")
 	fs.BoolVar(&f.Resume, "resume", false, "with -journal: reload its intact entries and simulate only the missing runs")
-	fs.StringVar(&f.CompileCache, "compile-cache", "on", "compile-artifact cache: on, off, or a persistent JSONL store path")
+	fs.StringVar(&f.CompileCache, "compile-cache", "on", "compile memo: on, or off to compile every scheduled run inline")
 }
 
 // OpenCompileCache resolves the sweep's -compile-cache flag.

@@ -15,19 +15,11 @@ func TestOpenCompileCacheModes(t *testing.T) {
 	if c, off, err := OpenCompileCache("off"); err != nil || !off || c != nil {
 		t.Fatalf("off: cache=%v off=%v err=%v", c, off, err)
 	}
-	path := filepath.Join(t.TempDir(), "artifacts.jsonl")
-	c, off, err := OpenCompileCache(path)
-	if err != nil || off || c == nil {
-		t.Fatalf("path mode: cache=%v off=%v err=%v", c, off, err)
-	}
-	if got := c.Store().Path(); got != path {
-		t.Fatalf("store path = %q, want %q", got, path)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A directory path is a store-open error, not a silent in-process cache.
-	if _, _, err := OpenCompileCache(t.TempDir()); err == nil {
-		t.Fatal("directory path accepted")
+	// Any other value, a path included, is an unknown mode.
+	dir := t.TempDir()
+	for _, mode := range []string{dir, filepath.Join(dir, "artifacts.jsonl"), "ON"} {
+		if c, _, err := OpenCompileCache(mode); err == nil || c != nil {
+			t.Fatalf("mode %q accepted: cache=%v err=%v", mode, c, err)
+		}
 	}
 }

@@ -74,18 +74,18 @@ type Config struct {
 	// all-zero rates — leaves the run bit-identical to a fault-free run.
 	Faults *fault.Config
 	// CompileCache, when non-nil, resolves the compile pass through a
-	// shared artifact cache (internal/compilecache) instead of compiling
+	// shared compile memo (internal/compilecache) instead of compiling
 	// inline. Like Probe, it is a runtime knob rather than part of run
-	// identity: cached artifacts are round-trip-pinned to the live compile,
-	// so equal configs produce bit-identical results with the cache off,
-	// warm, or restored from disk.
+	// identity: the compile pass is a pure function of its key, so equal
+	// configs produce bit-identical results with the cache off, cold, or
+	// warm.
 	CompileCache CompileService
 }
 
 // CompileService resolves a compile pass, possibly from a cache, and
 // reports where the result came from. internal/compilecache implements it;
-// cluster depends only on this interface so the cache can layer on
-// internal/store without an import cycle.
+// cluster depends only on this interface, so callers can plug in their own
+// (an instrumented memo, for example).
 type CompileService interface {
 	CompileContext(ctx context.Context, p *loop.Program, opts compiler.Options) (*compiler.Result, compiler.Provenance, error)
 }

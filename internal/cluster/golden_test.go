@@ -145,13 +145,11 @@ func loadGolden(t *testing.T) map[string][]string {
 	return want
 }
 
-// TestGoldenCacheModes runs the full 24-config matrix under the compile
-// cache in its three modes — cold store-backed cache (compiling and
-// persisting artifacts), warm in-process cache (memo hits), and a fresh
-// cache restoring artifacts from the persisted store — and demands every
-// fingerprint stay bit-identical to the committed golden file. This is
-// the contract that makes artifact reuse safe: a restored compile must be
-// indistinguishable from a live one.
+// TestGoldenCacheModes runs the full 24-config matrix with the compile
+// cache disabled (every scheduled run compiles inline), cold (compiling
+// once per app) and warm (every compile a memo hit), and demands every
+// fingerprint stay bit-identical to the committed golden file: a memoized
+// compile must be indistinguishable from a live one.
 func TestGoldenCacheModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden matrix")
@@ -160,7 +158,6 @@ func TestGoldenCacheModes(t *testing.T) {
 		t.Skip("golden file being regenerated")
 	}
 	want := loadGolden(t)
-	artifacts := filepath.Join(t.TempDir(), "artifacts.jsonl")
 
 	type mode struct {
 		name string
@@ -170,7 +167,7 @@ func TestGoldenCacheModes(t *testing.T) {
 		// the memo even on the first pass.
 		wantProv map[compiler.Provenance]bool
 	}
-	runMatrix := func(t *testing.T, cache *compilecache.Cache, m mode) {
+	runMatrix := func(t *testing.T, cache CompileService, m mode) {
 		for _, spec := range workloads.All() {
 			prog := spec.Build(goldenScale)
 			for _, kind := range []power.Kind{power.KindDefault, power.KindHistory} {
@@ -211,40 +208,24 @@ func TestGoldenCacheModes(t *testing.T) {
 		}
 	}
 
-	cold, err := compilecache.Open(artifacts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runMatrix(t, cold, mode{name: "cold", wantProv: map[compiler.Provenance]bool{
+	runMatrix(t, nil, mode{name: "disabled", wantProv: map[compiler.Provenance]bool{
+		compiler.ProvCompiled: true,
+	}})
+
+	cache := compilecache.New()
+	runMatrix(t, cache, mode{name: "cold", wantProv: map[compiler.Provenance]bool{
 		compiler.ProvCompiled: true, compiler.ProvMemory: true,
 	}})
 	apps := len(workloads.All())
-	if st := cold.Stats(); int(st.Misses) != apps {
+	if st := cache.Stats(); int(st.Misses) != apps {
 		t.Errorf("cold pass misses = %d, want %d (one compile per app)", st.Misses, apps)
-	}
-	if n := cold.Store().Len(); n != apps {
-		t.Errorf("persisted artifacts = %d, want %d", n, apps)
 	}
 
 	// Warm pass: every scheduled run is now an in-process memo hit.
-	runMatrix(t, cold, mode{name: "warm", wantProv: map[compiler.Provenance]bool{
+	runMatrix(t, cache, mode{name: "warm", wantProv: map[compiler.Provenance]bool{
 		compiler.ProvMemory: true,
 	}})
-	if err := cold.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restored pass: a fresh cache over the persisted store must serve
-	// every compile from disk without compiling anything.
-	restored, err := compilecache.Open(artifacts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
-	runMatrix(t, restored, mode{name: "restored", wantProv: map[compiler.Provenance]bool{
-		compiler.ProvStore: true, compiler.ProvMemory: true,
-	}})
-	if st := restored.Stats(); st.Misses != 0 || int(st.Restores) != apps {
-		t.Errorf("restored pass stats = %+v, want 0 misses and %d restores", st, apps)
+	if st := cache.Stats(); int(st.Misses) != apps {
+		t.Errorf("warm pass misses = %d, want %d (no recompiles)", st.Misses, apps)
 	}
 }

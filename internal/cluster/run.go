@@ -36,7 +36,7 @@ type Result struct {
 	// Compile is the compiler output (nil when Scheduling is off).
 	Compile *compiler.Result
 	// CompileProvenance records where the compile pass came from this
-	// execution (fresh compile, in-process memo, restored artifact);
+	// execution (fresh compile or in-process memo);
 	// ProvNone when Scheduling is off. It is execution provenance, not
 	// simulation output — excluded from golden fingerprints and from the
 	// persisted RunRecord, which must stay byte-identical regardless of

@@ -1,26 +1,19 @@
 // Package compilecache memoizes compile results across a session's worker
-// pool and, optionally, across processes. The compile pass — slack
-// analysis plus scheduling-table construction — is a pure function of
-// (program, procs, compiler.Options), so sweep points that differ only in
-// runtime knobs (seed, power policy, RPM set, buffer size, faults) share
-// one artifact. Level one is an in-process singleflight memo keyed by the
-// canonical compile key; level two is a persistent content-addressed
-// JSONL artifact store (internal/store) holding the serializable
-// compiler.Artifact mirror. Every artifact is round-trip-pinned before it
-// is persisted: the store never holds an artifact whose restore is not
-// provably equivalent to the live compile that produced it.
+// pool. The compile pass — slack analysis plus scheduling-table
+// construction — is a pure function of (program, procs, compiler.Options),
+// so sweep points that differ only in runtime knobs (seed, power policy,
+// RPM set, buffer size, faults) share one result. The cache is an
+// in-process singleflight memo keyed by the canonical compile key.
 package compilecache
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"sync"
 	"sync/atomic"
 
 	"sdds/internal/compiler"
 	"sdds/internal/loop"
-	"sdds/internal/store"
 )
 
 // errAbandoned marks a memo entry whose owner was cancelled before
@@ -34,81 +27,31 @@ type entry struct {
 	err  error
 }
 
-// Cache is a two-level compile-result cache, safe for concurrent use.
+// Cache is an in-process compile-result memo, safe for concurrent use.
 type Cache struct {
 	mu   sync.Mutex
 	memo map[string]*entry
 
-	st     *store.Store // nil: in-process memo only
-	ownSt  bool         // Close closes the store only if this cache opened it
-	closed bool
-
 	hits        atomic.Int64
 	misses      atomic.Int64
-	restores    atomic.Int64
 	uncacheable atomic.Int64
-	bytes       atomic.Int64
 }
 
-// New returns an in-process cache with no persistent backing.
+// New returns an empty cache.
 func New() *Cache {
 	return &Cache{memo: make(map[string]*entry)}
 }
 
-// Open returns a cache backed by the persistent artifact store at path,
-// resuming any artifacts already on disk. The store file is append-only
-// and content-addressed, so concurrent processes can share it.
-func Open(path string) (*Cache, error) {
-	st, err := store.Open(path, false)
-	if err != nil {
-		return nil, err
-	}
-	c := New()
-	c.st = st
-	c.ownSt = true
-	return c, nil
-}
-
-// NewWithStore returns a cache backed by an externally managed artifact
-// store; Close leaves the store open.
-func NewWithStore(st *store.Store) *Cache {
-	c := New()
-	c.st = st
-	return c
-}
-
-// Store exposes the backing artifact store (nil for in-process caches) —
-// for integrity checks and status reporting.
-func (c *Cache) Store() *store.Store { return c.st }
-
-// Close releases the persistent store if this cache opened it. The
-// in-process memo stays usable.
-func (c *Cache) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed || c.st == nil || !c.ownSt {
-		c.closed = true
-		return nil
-	}
-	c.closed = true
-	return c.st.Close()
-}
-
 // Stats is a point-in-time snapshot of cache effectiveness.
 type Stats struct {
-	// Hits counts compiles served from the in-process memo.
+	// Hits counts compiles served from the memo.
 	Hits int64 `json:"hits"`
-	// Misses counts compiles that ran fresh (no memo, no artifact).
+	// Misses counts compiles that ran fresh.
 	Misses int64 `json:"misses"`
-	// Restores counts compiles rehydrated from the persistent store.
-	Restores int64 `json:"restores"`
 	// Uncacheable counts compiles that bypassed the cache because a
 	// non-serializable input (custom region, random ties) defeats keying.
 	Uncacheable int64 `json:"uncacheable"`
-	// Bytes totals artifact bytes moved through the store: written on
-	// persist plus read on restore.
-	Bytes int64 `json:"bytes"`
-	// Entries is the current in-process memo size.
+	// Entries is the current memo size.
 	Entries int `json:"entries"`
 }
 
@@ -120,9 +63,7 @@ func (c *Cache) Stats() Stats {
 	return Stats{
 		Hits:        c.hits.Load(),
 		Misses:      c.misses.Load(),
-		Restores:    c.restores.Load(),
 		Uncacheable: c.uncacheable.Load(),
-		Bytes:       c.bytes.Load(),
 		Entries:     entries,
 	}
 }
@@ -162,7 +103,7 @@ func (c *Cache) CompileContext(ctx context.Context, p *loop.Program, opts compil
 		c.memo[key] = e
 		c.mu.Unlock()
 
-		res, prov, err := c.fill(ctx, key, p, opts)
+		res, err := compiler.CompileContext(ctx, p, opts)
 		if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			// Cancellation reflects this caller's context, not the compile
 			// input: never poison the cell with it.
@@ -173,61 +114,11 @@ func (c *Cache) CompileContext(ctx context.Context, p *loop.Program, opts compil
 			close(e.done)
 			return nil, compiler.ProvNone, err
 		}
+		if err == nil {
+			c.misses.Add(1)
+		}
 		e.res, e.err = res, err
 		close(e.done)
-		return res, prov, err
+		return res, compiler.ProvCompiled, err
 	}
-}
-
-// fill produces the value for a memo cell the caller owns: restore from
-// the artifact store when possible, compile (and persist) otherwise.
-func (c *Cache) fill(ctx context.Context, key string, p *loop.Program, opts compiler.Options) (*compiler.Result, compiler.Provenance, error) {
-	if c.st != nil {
-		var raw json.RawMessage
-		if found, err := c.st.Get(key, &raw); err == nil && found {
-			var art compiler.Artifact
-			if err := json.Unmarshal(raw, &art); err == nil {
-				if res, err := art.Restore(p, opts); err == nil {
-					c.restores.Add(1)
-					c.bytes.Add(int64(len(raw)))
-					return res, compiler.ProvStore, nil
-				}
-			}
-			// A corrupt or version-skewed artifact falls through to a fresh
-			// compile; the run must never fail on cache damage.
-		}
-	}
-	res, err := compiler.CompileContext(ctx, p, opts)
-	if err != nil {
-		return nil, compiler.ProvCompiled, err
-	}
-	c.misses.Add(1)
-	if c.st != nil {
-		c.persist(key, res, p, opts)
-	}
-	return res, compiler.ProvCompiled, nil
-}
-
-// persist writes the result's artifact to the store, but only after
-// pinning the round trip: marshal, unmarshal, restore, and verify the
-// restored result is equivalent to the live one. Persistence is
-// best-effort — any failure leaves the store unchanged and the in-process
-// result unaffected.
-func (c *Cache) persist(key string, res *compiler.Result, p *loop.Program, opts compiler.Options) {
-	raw, err := json.Marshal(res.Artifact())
-	if err != nil {
-		return
-	}
-	var back compiler.Artifact
-	if err := json.Unmarshal(raw, &back); err != nil {
-		return
-	}
-	restored, err := back.Restore(p, opts)
-	if err != nil || compiler.EquivalentResults(res, restored) != nil {
-		return
-	}
-	if err := c.st.Put(key, json.RawMessage(raw)); err != nil {
-		return
-	}
-	c.bytes.Add(int64(len(raw)))
 }

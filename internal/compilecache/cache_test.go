@@ -2,8 +2,6 @@ package compilecache
 
 import (
 	"context"
-	"encoding/json"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -121,88 +119,6 @@ func TestCacheUncacheable(t *testing.T) {
 	if st := c.Stats(); st.Uncacheable != 1 || st.Entries != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-}
-
-// A store-backed cache persists artifacts and a fresh cache restores them
-// with ProvStore, producing an equivalent result.
-func TestCachePersistAndRestore(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "artifacts.jsonl")
-	opts := compiler.DefaultOptions(4)
-
-	c1, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, prov, err := c1.CompileContext(context.Background(), testProgram(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prov != compiler.ProvCompiled {
-		t.Fatalf("provenance = %v", prov)
-	}
-	if c1.Store().Len() != 1 {
-		t.Fatalf("store entries = %d, want 1", c1.Store().Len())
-	}
-	if st := c1.Stats(); st.Bytes == 0 {
-		t.Fatal("persist did not count bytes")
-	}
-	if err := c1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	restored, prov, err := c2.CompileContext(context.Background(), testProgram(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prov != compiler.ProvStore {
-		t.Fatalf("provenance = %v, want restored", prov)
-	}
-	if err := compiler.EquivalentResults(live, restored); err != nil {
-		t.Fatalf("restored result not equivalent: %v", err)
-	}
-	st := c2.Stats()
-	if st.Restores != 1 || st.Misses != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// And the restore is memoized: the next lookup is a memory hit.
-	if _, prov, _ := c2.CompileContext(context.Background(), testProgram(), opts); prov != compiler.ProvMemory {
-		t.Fatalf("post-restore provenance = %v, want memo", prov)
-	}
-}
-
-// A corrupt stored artifact must fall back to a fresh compile, never fail
-// the run.
-func TestCacheCorruptArtifactFallsBack(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "artifacts.jsonl")
-	opts := compiler.DefaultOptions(4)
-	key, ok := compiler.KeyFor(testProgram(), opts)
-	if !ok {
-		t.Fatal("uncacheable")
-	}
-
-	c1, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.Store().Put(key, json.RawMessage(`{"version":999}`)); err != nil {
-		t.Fatal(err)
-	}
-	res, prov, err := c1.CompileContext(context.Background(), testProgram(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res == nil || prov != compiler.ProvCompiled {
-		t.Fatalf("corrupt artifact: prov = %v, want fresh compile", prov)
-	}
-	if st := c1.Stats(); st.Restores != 0 || st.Misses != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	c1.Close()
 }
 
 // A cancelled owner must not poison the cell: the next caller compiles.

@@ -106,11 +106,9 @@ type Result struct {
 	// UsedProfiler reports whether the profiling path ran (non-affine
 	// program or ForceProfile).
 	UsedProfiler bool
-	// CompileTime is the wall-clock duration of the whole pass (or of the
-	// artifact restore, for results rehydrated from the compile cache).
+	// CompileTime is the wall-clock duration of the whole pass.
 	CompileTime time.Duration
 
-	procs        int
 	params       core.Params
 	accessByInst map[instKey]int
 }
@@ -135,9 +133,7 @@ func fullSlack(s loop.Slack, opts Options) (begin, end int) {
 }
 
 // buildAccesses converts analyzed slacks into scheduler inputs (ID =
-// index) plus the dynamic-instance index. It is shared between the live
-// compile pass and the artifact restore path so both derive identical
-// accesses from identical slacks.
+// index) plus the dynamic-instance index.
 func buildAccesses(slacks []loop.Slack, opts Options, d int) ([]*core.Access, map[instKey]int) {
 	accesses := make([]*core.Access, 0, len(slacks))
 	byInst := make(map[instKey]int, len(slacks))
@@ -164,20 +160,6 @@ func buildAccesses(slacks []loop.Slack, opts Options, d int) ([]*core.Access, ma
 		byInst[instKey{s.Inst.Proc, s.Inst.Slot, s.Inst.Nest, s.Inst.Stmt}] = i
 	}
 	return accesses, byInst
-}
-
-// schedParams derives the scheduler parameters from the options and the
-// coalesced slot count — shared by compile and restore.
-func schedParams(opts Options, coalesced int) core.Params {
-	return core.Params{
-		NumSlots:   coalesced,
-		NumNodes:   opts.Layout.NumNodes,
-		Delta:      opts.Delta,
-		Theta:      opts.Theta,
-		Order:      opts.Order,
-		NoWeights:  opts.NoWeights,
-		RandomTies: opts.RandomTies,
-	}
 }
 
 // Compile runs the full pass.
@@ -222,13 +204,20 @@ func CompileContext(ctx context.Context, p *loop.Program, opts Options) (*Result
 
 	numSlots := p.Slots(opts.Procs)
 	d := coalesceFactor(opts)
-	coalesced := (numSlots + d - 1) / d
 	accesses, byInst := buildAccesses(slacks, opts, d)
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	params := schedParams(opts, coalesced)
+	params := core.Params{
+		NumSlots:   (numSlots + d - 1) / d,
+		NumNodes:   opts.Layout.NumNodes,
+		Delta:      opts.Delta,
+		Theta:      opts.Theta,
+		Order:      opts.Order,
+		NoWeights:  opts.NoWeights,
+		RandomTies: opts.RandomTies,
+	}
 	sched, err := core.NewScheduler(params)
 	if err != nil {
 		return nil, err
@@ -252,7 +241,6 @@ func CompileContext(ctx context.Context, p *loop.Program, opts Options) (*Result
 		Schedule:     schedule,
 		UsedProfiler: usedProfiler,
 		CompileTime:  time.Since(start),
-		procs:        opts.Procs,
 		params:       params,
 		accessByInst: byInst,
 	}, nil

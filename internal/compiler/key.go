@@ -10,8 +10,8 @@ import (
 )
 
 // keyVersion tags the canonical rendering; bump it whenever the rendering
-// or the semantics of any rendered field change, so stale persisted
-// artifacts are invalidated by key mismatch rather than misread.
+// or the semantics of any rendered field change, so keys from different
+// renderings can never collide.
 const keyVersion = "sdds-compile-key-v1"
 
 // KeyFor derives the canonical content-addressed compile key for

@@ -198,17 +198,14 @@ func (s *Schedule) ActiveSlotCount() int {
 }
 
 // Assignment couples an access ID with its scheduling point — the minimal
-// serializable form of one scheduling decision. The full Schedule (tables,
-// access windows) is reconstructed from assignments plus the accesses
-// themselves, which are a pure function of (program, options).
+// form of one scheduling decision.
 type Assignment struct {
 	ID    int `json:"id"`
 	Point int `json:"point"`
 }
 
 // Assignments returns every (access ID, point) pair sorted by access ID:
-// the canonical order-independent rendering of the schedule used by the
-// compile-artifact store.
+// the canonical order-independent rendering of the schedule.
 func (s *Schedule) Assignments() []Assignment {
 	out := make([]Assignment, 0, len(s.points))
 	for id, p := range s.points {
@@ -216,34 +213,6 @@ func (s *Schedule) Assignments() []Assignment {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// ScheduledAccess pairs a (possibly re-anchored) access with its scheduling
-// point when rebuilding a schedule from serialized assignments.
-type ScheduledAccess struct {
-	Access *Access
-	Point  int
-}
-
-// NewScheduleFromAssignments rebuilds a schedule from serialized
-// assignments. Each element must carry the access re-anchored into the
-// same slot space the points are expressed in (full resolution after
-// Rescale). The rebuild uses the same assign+finalize path as the
-// scheduler itself, so a rebuilt schedule is bit-identical to the
-// original — the property the artifact round-trip pin asserts.
-func NewScheduleFromAssignments(p Params, assigns []ScheduledAccess) (*Schedule, error) {
-	s := newSchedule(p, len(assigns))
-	for _, sa := range assigns {
-		if sa.Access == nil {
-			return nil, fmt.Errorf("core: assignment with nil access")
-		}
-		if _, dup := s.points[sa.Access.ID]; dup {
-			return nil, fmt.Errorf("core: duplicate assignment for access %d", sa.Access.ID)
-		}
-		s.assign(sa.Access, sa.Point)
-	}
-	s.finalize()
-	return s, nil
 }
 
 // Rescale maps a schedule computed over coalesced slots (d iterations per

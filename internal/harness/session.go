@@ -132,7 +132,7 @@ type Progress struct {
 	// this session executed.
 	FromJournal bool
 	// CompileProv names where the run's compile pass came from
-	// ("compiled", "memo", "restored", "uncacheable"); empty for
+	// ("compiled", "memo", "uncacheable"); empty for
 	// scheduling-off runs and journal-restored results (the journal does
 	// not record compiler output).
 	CompileProv string
@@ -165,11 +165,9 @@ type SessionOptions struct {
 	// resumed journal loaded, so an interrupted sweep re-executes only the
 	// missing configurations.
 	Journal *Journal
-	// CompileCache, when non-nil, is the shared compile-artifact cache
-	// every scheduled run resolves its compile pass through — share one
-	// across sessions (or back it with a persistent store) to reuse
-	// artifacts beyond this session's lifetime. When nil the session
-	// creates its own in-process cache.
+	// CompileCache, when non-nil, is the compile memo every scheduled run
+	// resolves its compile pass through — share one across sessions to
+	// reuse compiles between them. When nil the session creates its own.
 	CompileCache *compilecache.Cache
 	// DisableCompileCache compiles every scheduled run inline (the
 	// pre-cache behaviour); for A/B measurement and ablation.
@@ -214,8 +212,8 @@ type Session struct {
 	memo      map[Request]*memoEntry
 	preloaded int // runs seeded from a resumed journal
 
-	// compileCache memoizes compile artifacts across the worker pool (and,
-	// when store-backed, across processes); nil when disabled.
+	// compileCache memoizes compile results across the worker pool; nil
+	// when disabled.
 	compileCache *compilecache.Cache
 	// setups shares the pre-simulation Setup per (app, scale, procs).
 	setupMu sync.Mutex

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,13 +13,21 @@ import (
 )
 
 // TestServiceCompileCacheSurfaces drives a scheduled run through the
-// service and asserts the compile cache shows up everywhere it should:
-// status, doctor, Prometheus metrics — and that a restarted service
-// restores the artifact from the persisted store instead of recompiling.
+// service and asserts the compile memo shows up everywhere it should —
+// status, doctor, Prometheus metrics — and that nothing but the result
+// journal is written to the store directory.
 func TestServiceCompileCacheSurfaces(t *testing.T) {
 	dir := t.TempDir()
 	storePath := filepath.Join(dir, "runs.jsonl")
-	s, ts := newTestServer(t, storePath, 2)
+	_, ts := newTestServer(t, storePath, 2)
+
+	var raw map[string]json.RawMessage
+	if code := getJSON(t, ts.URL+"/v1/status", &raw); code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	if _, ok := raw["compile_cache"]; !ok {
+		t.Error("idle status has no compile_cache block")
+	}
 
 	req := harness.Request{App: "sar", Scheduling: true, Scale: 0.02, Seed: 7}
 	var rr RunResponse
@@ -29,14 +39,8 @@ func TestServiceCompileCacheSurfaces(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/status", &st); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if st.CompileCache == nil {
-		t.Fatal("status has no compile_cache block")
-	}
 	if st.CompileCache.Misses != 1 || st.CompileCache.Entries != 1 {
 		t.Errorf("compile cache stats = %+v, want 1 miss / 1 entry", st.CompileCache)
-	}
-	if want := storePath + ".artifacts"; st.ArtifactPath != want {
-		t.Errorf("artifact path = %q, want %q", st.ArtifactPath, want)
 	}
 	if st.SetupGroups != 1 {
 		t.Errorf("setup groups = %d, want 1", st.SetupGroups)
@@ -74,44 +78,15 @@ func TestServiceCompileCacheSurfaces(t *testing.T) {
 		}
 	}
 
-	// Restart: the run itself is journal-preloaded, but a sibling seed
-	// forces a real simulation whose compile must restore from the
-	// artifact store rather than recompile.
-	ts.Close()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, ts2 := newTestServer(t, storePath, 2)
-	req2 := req
-	req2.Seed = 8
-	var rr2 RunResponse
-	if code := postJSON(t, ts2.URL+"/v1/runs", req2, &rr2); code != http.StatusOK {
-		t.Fatalf("restarted run status %d (%s)", code, rr2.Error)
-	}
-	if cs := s2.sess.CompileCacheStats(); cs.Restores != 1 || cs.Misses != 0 {
-		t.Errorf("restarted compile cache stats = %+v, want 1 restore / 0 misses", cs)
-	}
-}
-
-// TestServiceCompileCacheDisabled pins the "off" spelling: no cache, no
-// status block, and the doctor check reports disabled.
-func TestServiceCompileCacheDisabled(t *testing.T) {
-	s, err := NewServer(Options{
-		StorePath:    filepath.Join(t.TempDir(), "runs.jsonl"),
-		Workers:      1,
-		ArtifactPath: "off",
-	})
+	// The compile memo lives in process only: the store directory holds
+	// the journal and nothing else.
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if st := s.Status(); st.CompileCache != nil || st.ArtifactPath != "" {
-		t.Errorf("disabled cache leaked into status: %+v", st)
-	}
-	doc := s.Doctor()
-	for _, c := range doc.Checks {
-		if c.Name == "compile-cache" && c.Detail != "disabled" {
-			t.Errorf("compile-cache check = %+v, want disabled", c)
+	for _, e := range entries {
+		if e.Name() != filepath.Base(storePath) {
+			t.Errorf("store directory holds %q besides the journal", e.Name())
 		}
 	}
 }

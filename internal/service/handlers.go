@@ -128,12 +128,8 @@ type StatusResponse struct {
 	// SetupGroups counts the distinct (app, scale, procs) pre-simulation
 	// snapshots the session has built for sweep forking.
 	SetupGroups int `json:"setup_groups"`
-	// CompileCache reports the compile-artifact cache counters; absent
-	// when the cache is disabled.
-	CompileCache *compilecache.Stats `json:"compile_cache,omitempty"`
-	// ArtifactPath is the persistent compile-artifact store; empty when
-	// the cache is disabled.
-	ArtifactPath string `json:"artifact_path,omitempty"`
+	// CompileCache reports the session's compile-memo counters.
+	CompileCache compilecache.Stats `json:"compile_cache"`
 	// Shards reports the active sharded sweep; absent when none was
 	// submitted this lifetime.
 	Shards *shard.Snapshot `json:"shards,omitempty"`
@@ -220,7 +216,7 @@ type Event struct {
 	// earlier process lifetime.
 	FromJournal bool `json:"from_journal,omitempty"`
 	// CompileProv names where a scheduled run's compile pass came from
-	// ("compiled", "memo", "restored", "uncacheable").
+	// ("compiled", "memo", "uncacheable").
 	CompileProv string `json:"compile_prov,omitempty"`
 	// Shard/ShardEvent/Worker/Attempts describe a shard lifecycle
 	// transition ("leased", "completed", "duplicate", "requeued",

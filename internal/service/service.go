@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"sdds/internal/compilecache"
 	"sdds/internal/diag"
 	"sdds/internal/harness"
 	"sdds/internal/probe"
@@ -50,11 +49,6 @@ type Options struct {
 	DrainTimeout time.Duration
 	// Tail is how many recent store entries /v1/doctor reports (default 8).
 	Tail int
-	// ArtifactPath is the persistent compile-artifact store backing the
-	// session's compile cache, so scheduled runs skip recompilation across
-	// restarts. Empty derives StorePath + ".artifacts"; "off" disables the
-	// compile cache entirely.
-	ArtifactPath string
 	// CaptureDir, when non-empty, arms diagnostics capture: failing,
 	// timed-out, panicking, and watchdog-flagged runs are captured as
 	// content-addressed bundles there, and the /v1/bundles endpoints serve
@@ -95,10 +89,6 @@ type Server struct {
 	start   time.Time
 	log     *slog.Logger
 
-	// compile is the persistent compile-artifact cache shared by every
-	// scheduled run the session executes; nil when disabled.
-	compile *compilecache.Cache
-
 	// diag is the diagnostics recorder behind /v1/bundles and the
 	// session's automatic capture; nil when capture is disabled.
 	diag *diag.Recorder
@@ -117,11 +107,9 @@ type Server struct {
 	sweeps    probe.Counter
 	// Compile-cache gauges, refreshed from the cache's counters each time
 	// the registry is rendered (/v1/metrics, /v1/doctor).
-	ccHits     probe.Gauge
-	ccMisses   probe.Gauge
-	ccRestores probe.Gauge
-	ccBytes    probe.Gauge
-	ccEntries  probe.Gauge
+	ccHits    probe.Gauge
+	ccMisses  probe.Gauge
+	ccEntries probe.Gauge
 	// latency is the request-latency histogram (seconds), observed per
 	// /v1/runs and sweep cell, cache hits included.
 	latency probe.Histogram
@@ -170,9 +158,6 @@ func NewServer(o Options) (*Server, error) {
 	if o.Tail <= 0 {
 		o.Tail = 8
 	}
-	if o.ArtifactPath == "" {
-		o.ArtifactPath = o.StorePath + ".artifacts"
-	}
 	j, err := harness.OpenJournalWith(o.StorePath, true, o.Log)
 	if err != nil {
 		return nil, err
@@ -199,13 +184,6 @@ func NewServer(o Options) (*Server, error) {
 		inflight: make(map[string]int),
 	}
 	s.life, s.lifeStop = context.WithCancel(context.Background())
-	if o.ArtifactPath != "off" {
-		s.compile, err = compilecache.Open(o.ArtifactPath)
-		if err != nil {
-			j.Close()
-			return nil, err
-		}
-	}
 	if o.CaptureDir != "" {
 		mult := o.SlowMultiplier
 		if mult == 0 {
@@ -229,8 +207,6 @@ func NewServer(o Options) (*Server, error) {
 	s.sweeps = s.reg.Counter("sddsd.sweeps.submitted")
 	s.ccHits = s.reg.Gauge("compile_cache.hits")
 	s.ccMisses = s.reg.Gauge("compile_cache.misses")
-	s.ccRestores = s.reg.Gauge("compile_cache.restores")
-	s.ccBytes = s.reg.Gauge("compile_cache.bytes")
 	s.ccEntries = s.reg.Gauge("compile_cache.entries")
 	s.latency = s.reg.Histogram("sddsd.run_latency_seconds", latencyBuckets)
 	s.shardSweeps = s.reg.Counter("sddsd.shards.sweeps")
@@ -247,15 +223,13 @@ func NewServer(o Options) (*Server, error) {
 		s.spanContended = s.reg.Gauge("probe.span_contention")
 	}
 	s.sess = harness.NewSession(harness.SessionOptions{
-		Workers:             o.Workers,
-		RunTimeout:          o.RunTimeout,
-		Journal:             j,
-		Progress:            s.onProgress,
-		CompileCache:        s.compile,
-		DisableCompileCache: s.compile == nil,
-		Probe:               s.spanProbe,
-		Diag:                s.diag,
-		Log:                 o.Log,
+		Workers:    o.Workers,
+		RunTimeout: o.RunTimeout,
+		Journal:    j,
+		Progress:   s.onProgress,
+		Probe:      s.spanProbe,
+		Diag:       s.diag,
+		Log:        o.Log,
 	})
 	s.start = time.Now() //sddsvet:ignore simdet -- wall-clock service uptime, not simulated time
 	return s, nil
@@ -353,11 +327,7 @@ func (s *Server) Status() StatusResponse {
 		StorePath:    s.journal.Path(),
 		Subscribers:  s.hub.count(),
 		SetupGroups:  s.sess.SetupGroups(),
-	}
-	if s.compile != nil {
-		st := s.sess.CompileCacheStats()
-		resp.CompileCache = &st
-		resp.ArtifactPath = s.compile.Store().Path()
+		CompileCache: s.sess.CompileCacheStats(),
 	}
 	if coord := s.activeCoord(); coord != nil {
 		snap := coord.Snapshot()
@@ -406,24 +376,10 @@ func (s *Server) Doctor() DoctorResponse {
 			Detail: fmt.Sprintf("cache (%d) covers store (%d)", cl, sl)})
 	}
 
-	// Compile-artifact store integrity plus the cache's live counters.
-	if s.compile == nil {
-		checks = append(checks, Check{Name: "compile-cache", Status: "ok", Detail: "disabled"})
-	} else {
-		st := s.sess.CompileCacheStats()
-		detail := fmt.Sprintf("%d entries, %d hits, %d misses, %d restores, %d artifact bytes",
-			st.Entries, st.Hits, st.Misses, st.Restores, st.Bytes)
-		arep, err := store.Verify(s.compile.Store().Path())
-		switch {
-		case err != nil:
-			checks = append(checks, Check{Name: "compile-cache", Status: "fail", Detail: err.Error()})
-		case arep.TornBytes > 0:
-			checks = append(checks, Check{Name: "compile-cache", Status: "warn",
-				Detail: fmt.Sprintf("%s; %d torn trailing bytes", detail, arep.TornBytes)})
-		default:
-			checks = append(checks, Check{Name: "compile-cache", Status: "ok", Detail: detail})
-		}
-	}
+	// The compile memo's live counters.
+	cc := s.sess.CompileCacheStats()
+	checks = append(checks, Check{Name: "compile-cache", Status: "ok",
+		Detail: fmt.Sprintf("%d entries, %d hits, %d misses", cc.Entries, cc.Hits, cc.Misses)})
 
 	// Diagnostics capture health: bundles on disk and capture failures.
 	var bundles []BundleSummary
@@ -488,8 +444,6 @@ func (s *Server) metricsText() string {
 	s.regMu.Lock()
 	s.ccHits.Set(float64(st.Hits))
 	s.ccMisses.Set(float64(st.Misses))
-	s.ccRestores.Set(float64(st.Restores))
-	s.ccBytes.Set(float64(st.Bytes))
 	s.ccEntries.Set(float64(st.Entries))
 	if s.diag != nil {
 		captured, failures := s.diag.Stats()
@@ -573,16 +527,10 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 }
 
 // closeStores stops the sweep-lifetime goroutines and closes the result
-// journal and the compile-artifact store.
+// journal.
 func (s *Server) closeStores() error {
 	s.lifeStop()
-	err := s.journal.Close()
-	if s.compile != nil {
-		if cerr := s.compile.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return s.journal.Close()
 }
 
 // Close ends the event stream and closes the stores. Serve does this

@@ -79,7 +79,6 @@ type Event struct {
 	queued    bool // still in the heap (cleared on pop/compaction)
 	cancelled bool
 	retained  bool
-	label     string
 }
 
 // At reports the virtual time the event is scheduled to fire.
@@ -185,7 +184,7 @@ var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
 // alloc returns an event from the free list (or a fresh one), initialized
 // for the given firing time.
-func (e *Engine) alloc(at Time, label string, retained bool) *Event {
+func (e *Engine) alloc(at Time, retained bool) *Event {
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -199,7 +198,6 @@ func (e *Engine) alloc(at Time, label string, retained bool) *Event {
 	ev.at = at
 	ev.seq = e.seq
 	ev.eng = e
-	ev.label = label
 	ev.retained = retained
 	ev.cancelled = false
 	return ev
@@ -214,19 +212,20 @@ func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
 	ev.afn = nil
 	ev.arg = nil
-	ev.label = ""
 	e.free = append(e.free, ev)
 }
 
 // Schedule enqueues fn to run after delay. A negative delay is clamped to
 // zero (fires at the current time, after currently-running handlers). The
 // returned handle can be cancelled; it is never recycled, so keeping it
-// around after the event fires is safe.
+// around after the event fires is safe. The label names the event at the
+// call site; across the Schedule family only ScheduleAt reports it, in its
+// ErrPastEvent text.
 func (e *Engine) Schedule(delay Duration, label string, fn Handler) *Event {
 	if delay < 0 {
 		delay = 0
 	}
-	ev := e.alloc(e.now+delay, label, true)
+	ev := e.alloc(e.now+delay, true)
 	ev.fn = fn
 	e.push(ev)
 	return ev
@@ -240,7 +239,7 @@ func (e *Engine) ScheduleAt(at Time, label string, fn Handler) (*Event, error) {
 	if at < e.now {
 		return nil, fmt.Errorf("%w: at=%v now=%v (%s)", ErrPastEvent, at, e.now, label)
 	}
-	ev := e.alloc(at, label, true)
+	ev := e.alloc(at, true)
 	ev.fn = fn
 	e.push(ev)
 	return ev, nil
@@ -254,7 +253,7 @@ func (e *Engine) ScheduleFunc(delay Duration, label string, fn Handler) {
 	if delay < 0 {
 		delay = 0
 	}
-	ev := e.alloc(e.now+delay, label, false)
+	ev := e.alloc(e.now+delay, false)
 	ev.fn = fn
 	e.push(ev)
 }
@@ -268,7 +267,7 @@ func (e *Engine) ScheduleArg(delay Duration, label string, fn ArgHandler, arg an
 	if delay < 0 {
 		delay = 0
 	}
-	ev := e.alloc(e.now+delay, label, false)
+	ev := e.alloc(e.now+delay, false)
 	ev.afn = fn
 	ev.arg = arg
 	e.push(ev)
